@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 # raise it when recording a baseline worth keeping.
 BENCHTIME ?= 0.3s
 
-.PHONY: build test vet race race-shard fuzz bench benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff check ci
+.PHONY: build test vet race race-shard fuzz bench benchsmoke perfbench-test trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff check ci
 
 build:
 	$(GO) build ./...
@@ -28,13 +28,15 @@ race:
 # at several worker widths), the incremental engine's repair workers,
 # boundaryd's concurrent session registry, the detector zoo's
 # metamorphic/vocabulary suites (every registered detector's parallel
-# candidate loops), the incremental surface engine's differential matrix
-# (cached mesh repair at several worker widths), and the always-on
+# candidate loops), the default pipeline's parallel IFF traversal (the
+# flood-kernel differential against the simulator and the observed
+# DetectContext suites), the incremental surface engine's differential
+# matrix (cached mesh repair at several worker widths), and the always-on
 # metrics/FTDC capture path (atomic sinks racing a sampler goroutine).
 # (The blanket `race` target covers these too; this target is the quick
 # iteration loop.)
 race-shard:
-	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Metrics|FTDC|Ring|Sampler|Mesh' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
+	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Flood|DetectContext|Metrics|FTDC|Ring|Sampler|Mesh' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
 
 # `go test -fuzz` accepts a single package per invocation, so each fuzz
 # target gets its own run.
@@ -57,6 +59,13 @@ bench:
 # file — proves the suite and the BENCH_JSON writer stay runnable.
 benchsmoke:
 	BENCH_JSON=$$(mktemp -d)/BENCH_smoke.json $(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# The repo benchmark's own test (perfbench is a nested module, so the root
+# `go test ./...` does not reach it): a tiny-scale run of every workload
+# that checks each metric is emitted, BENCHMARK.json is in step, and every
+# output check trips on a flipped verdict.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # End-to-end observability smoke: record a trace of a faulty asynchronous
 # run at reduced scale, then let the run's own exit-time validation (and a
@@ -137,12 +146,12 @@ bench-diff:
 	$(GO) run ./cmd/tracestat -baseline $$2 -against $$1 \
 		-tol-ns $(TOL_NS) -tol-allocs $(TOL_ALLOCS) -tol-work $(TOL_WORK)
 
-check: vet race race-shard benchsmoke trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff fuzz
+check: vet race race-shard benchsmoke perfbench-test trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff fuzz
 
 # The cache-defeating correctness gate for CI and pre-merge runs: static
 # analysis plus the full test suite with result caching off, so every
 # package really re-executes, then the end-to-end server and detector
-# smokes.
+# smokes and the benchmark's own test.
 ci:
 	$(GO) vet ./...
 	$(GO) test -count=1 ./...
@@ -150,3 +159,4 @@ ci:
 	$(MAKE) mesh-smoke
 	$(MAKE) ftdc-smoke
 	$(MAKE) detector-matrix
+	$(MAKE) perfbench-test

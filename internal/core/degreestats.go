@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/graph"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -101,7 +102,7 @@ func (degreeStatsDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 		return nil, err
 	}
 
-	if err := filterAndGroup(ctx, o, net, cfg, res); err != nil {
+	if err := filterAndGroup(ctx, o, net, graph.NewCSR(net.G), cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil

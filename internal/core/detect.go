@@ -8,6 +8,7 @@ import (
 	"runtime"
 
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/mds"
 	"repro/internal/netgen"
 	"repro/internal/obs"
@@ -109,21 +110,25 @@ type Config struct {
 	IFFThreshold int
 	// IFFTTL is T, the filtering flood's hop budget. Zero means 3.
 	IFFTTL int
-	// Async executes the flooding phases (IFF and grouping) on the
-	// asynchronous kernel — per-message random delays seeded by
-	// AsyncSeed — instead of synchronized rounds. Both protocols are
-	// delay-independent, so the detection outcome is identical; the
-	// option exists to demonstrate and test exactly that.
+	// Async selects a protocol simulation of the flooding phases (IFF
+	// and grouping) on the asynchronous kernel of internal/sim —
+	// per-message random delays seeded by AsyncSeed. Without Async or
+	// Faults the phases are evaluated by traversal (member BFS and
+	// min-root union-find) and the synchronous protocols' exact message
+	// counts are derived from it. Both protocols are delay-independent,
+	// so the detection outcome is identical either way; the option exists
+	// to demonstrate and test exactly that.
 	Async     bool
 	AsyncSeed int64
 
-	// Faults, when enabled, injects message loss, duplication, delay,
-	// crashes and partitions into the flooding phases. The phases then
-	// run the acknowledged, retransmitting protocol variants; with
-	// per-link loss capped at Faults.MaxDropsPerLink and a
-	// RetransmitBudget at least that cap, the detection outcome is
-	// provably identical to the fault-free run. Each phase derives its
-	// own plan: IFF from Faults.Seed, grouping from Faults.Seed+1.
+	// Faults, when enabled, selects a protocol simulation of the flooding
+	// phases with injected message loss, duplication, delay, crashes and
+	// partitions. The phases then run the acknowledged, retransmitting
+	// protocol variants of internal/sim; with per-link loss capped at
+	// Faults.MaxDropsPerLink and a RetransmitBudget at least that cap, the
+	// detection outcome is provably identical to the fault-free run. Each
+	// phase derives its own plan: IFF from Faults.Seed, grouping from
+	// Faults.Seed+1.
 	Faults sim.FaultConfig
 	// RetransmitBudget is the maximum number of retransmissions per
 	// unacknowledged packet under faults. Zero means 3; ignored without
@@ -139,10 +144,11 @@ type Config struct {
 	// its owned nodes plus a bounded ghost halo, and the per-shard results
 	// are stitched back together. The outcome is bit-identical to the
 	// unsharded pipeline for every shard and worker count. The sharded
-	// engine evaluates the flooding phases by direct bounded traversal
-	// rather than message passing, so Async and Faults are ignored and the
-	// message/fault counters of the Result stay zero. Zero or 1 selects
-	// the ordinary single-shard pipeline. Requires a CapSharded detector.
+	// engine evaluates the flooding phases by the same traversals as the
+	// default unsharded path, per shard, but derives no message counts:
+	// Async and Faults are ignored and the message/fault counters of the
+	// Result stay zero. Zero or 1 selects the ordinary single-shard
+	// pipeline. Requires a CapSharded detector.
 	Shards int
 
 	// Detector selects the registered detection algorithm by name; ""
@@ -260,6 +266,10 @@ type Result struct {
 	// IFFMessages and GroupingMessages count the packets exchanged by
 	// the two flooding phases — the protocol's communication cost
 	// (UBF itself sends nothing beyond the initial beacon exchanges).
+	// On the default path they are derived exactly from the traversals
+	// that evaluate the phases (the synchronous protocols' counts); under
+	// Async or Faults they are the simulated deliveries. The sharded
+	// engine reports zero.
 	IFFMessages      int
 	GroupingMessages int
 	// CandidateMessages counts packets exchanged by a competitor
@@ -444,7 +454,7 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 		return nil, err
 	}
 
-	if err := filterAndGroup(ctx, o, net, cfg, res); err != nil {
+	if err := filterAndGroup(ctx, o, net, tab.CSR, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -458,9 +468,13 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 // refinement tail is common), which is what keeps the paper path
 // bit-identical and gives every detector the hardened fault/async
 // protocol variants for free. cfg must already carry defaults.
-func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cfg Config, res *Result) error {
+//
+// By default both phases are evaluated by traversal (flood.go) with their
+// exact synchronous message counts; Async or Faults select the protocol
+// simulation in internal/sim. csr is net.G's CSR.
+func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, csr *graph.CSR, cfg Config, res *Result) error {
 	n := len(res.UBF)
-	var err error
+	simulate := cfg.Async || cfg.Faults.Enabled()
 
 	// Stage 3: Isolated Fragment Filtering by TTL-bounded flooding.
 	res.Boundary = make([]bool, n)
@@ -470,42 +484,18 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cf
 		res.FragmentSize = make([]int, n)
 	} else {
 		var counts []int
-		var messages int
-		// The probe routes the kernels' flight-recorder events and
-		// aggregate counters (rounds, sent/delivered, fault totals)
-		// straight to the observer; nothing is re-emitted here.
-		pr := sim.Probe{Obs: o, Stage: obs.StageIFF}
-		switch {
-		case cfg.Faults.Enabled():
-			iffFaults := cfg.Faults
-			// Each phase gets an independent plan; keep the configured
-			// seed for IFF and derive the grouping one below.
-			plan := sim.NewFaultPlan(iffFaults, n)
-			opt := sim.ReliableOptions{Budget: cfg.RetransmitBudget}
-			if cfg.Async {
-				var stats sim.AsyncResult
-				counts, stats, err = sim.AsyncReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, plan, opt, pr)
-				messages = stats.Messages
-			} else {
-				var stats sim.Result
-				counts, stats, err = sim.ReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, plan, opt, pr)
-				messages = stats.Messages
-			}
-			res.FaultStats.Add(plan.Stats())
-		case cfg.Async:
-			var stats sim.AsyncResult
-			counts, stats, err = sim.AsyncFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, pr)
-			messages = stats.Messages
-		default:
-			var stats sim.Result
-			counts, stats, err = sim.FloodCountStats(net.G, res.UBF, cfg.IFFTTL, pr)
-			messages = stats.Messages
+		var err error
+		if simulate {
+			counts, res.IFFMessages, err = simulateIFF(o, net, cfg, res)
+		} else {
+			var cost floodCost
+			counts, cost, err = floodFragments(ctx, o, csr, res.UBF, cfg.IFFTTL, cfg.Workers)
+			res.IFFMessages = cost.Messages
 		}
 		if err != nil {
 			iffSpan.End()
 			return fmt.Errorf("IFF flooding: %w", err)
 		}
-		res.IFFMessages = messages
 		res.FragmentSize = counts
 		for i := range res.Boundary {
 			res.Boundary[i] = res.UBF[i] && counts[i] >= cfg.IFFThreshold
@@ -533,44 +523,65 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cf
 	// Stage 4: grouping — boundary nodes of the same surface connect
 	// through boundary nodes only (Sec. II-B).
 	groupSpan := obs.Start(o, obs.StageGrouping)
-	var label []int
-	var groupMessages int
-	groupPr := sim.Probe{Obs: o, Stage: obs.StageGrouping}
-	switch {
-	case cfg.Faults.Enabled():
-		groupFaults := cfg.Faults
-		groupFaults.Seed++
-		plan := sim.NewFaultPlan(groupFaults, n)
-		opt := sim.ReliableOptions{Budget: cfg.RetransmitBudget}
-		if cfg.Async {
-			var stats sim.AsyncResult
-			label, stats, err = sim.AsyncReliableLabelComponents(net.G, res.Boundary, cfg.AsyncSeed+1, plan, opt, groupPr)
-			groupMessages = stats.Messages
-		} else {
-			var stats sim.Result
-			label, stats, err = sim.ReliableLabelComponents(net.G, res.Boundary, plan, opt, groupPr)
-			groupMessages = stats.Messages
+	if simulate {
+		var err error
+		res.GroupLabel, res.GroupingMessages, err = simulateGrouping(o, net, cfg, res)
+		if err != nil {
+			groupSpan.End()
+			return fmt.Errorf("grouping: %w", err)
 		}
-		res.FaultStats.Add(plan.Stats())
-	case cfg.Async:
-		var stats sim.AsyncResult
-		label, stats, err = sim.AsyncLabelComponents(net.G, res.Boundary, cfg.AsyncSeed+1, groupPr)
-		groupMessages = stats.Messages
-	default:
-		var stats sim.Result
-		label, stats, err = sim.LabelComponentsStats(net.G, res.Boundary, groupPr)
-		groupMessages = stats.Messages
+	} else {
+		res.GroupingMessages = labelPropagation(o, csr, res.Boundary).Messages
+		res.GroupLabel = groupLabels(csr.Len(), res.Boundary, csr.Neighbors)
 	}
-	if err != nil {
-		groupSpan.End()
-		return fmt.Errorf("grouping: %w", err)
-	}
-	res.GroupingMessages = groupMessages
-	res.GroupLabel = label
-	res.Groups = sim.Groups(label)
+	res.Groups = sim.Groups(res.GroupLabel)
 	obs.Add(o, obs.StageGrouping, obs.CtrGroups, int64(len(res.Groups)))
 	groupSpan.End()
 	return nil
+}
+
+// simulateIFF runs the IFF flood on the asynchronous and/or fault-injecting
+// simulator kernels, returning fragment sizes and packets delivered. The
+// probe routes the kernels' flight-recorder events and aggregate counters
+// (rounds, sent/delivered, fault totals) straight to the observer.
+func simulateIFF(o obs.Observer, net *netgen.Network, cfg Config, res *Result) ([]int, int, error) {
+	pr := sim.Probe{Obs: o, Stage: obs.StageIFF}
+	if !cfg.Faults.Enabled() {
+		counts, stats, err := sim.AsyncFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, pr)
+		return counts, stats.Messages, err
+	}
+	// Each phase gets an independent plan; keep the configured seed for
+	// IFF and derive the grouping one in simulateGrouping.
+	plan := sim.NewFaultPlan(cfg.Faults, len(res.UBF))
+	defer func() { res.FaultStats.Add(plan.Stats()) }()
+	opt := sim.ReliableOptions{Budget: cfg.RetransmitBudget}
+	if cfg.Async {
+		counts, stats, err := sim.AsyncReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, cfg.AsyncSeed, plan, opt, pr)
+		return counts, stats.Messages, err
+	}
+	counts, stats, err := sim.ReliableFloodCount(net.G, res.UBF, cfg.IFFTTL, plan, opt, pr)
+	return counts, stats.Messages, err
+}
+
+// simulateGrouping is simulateIFF's counterpart for label propagation,
+// returning labels and packets delivered.
+func simulateGrouping(o obs.Observer, net *netgen.Network, cfg Config, res *Result) ([]int, int, error) {
+	pr := sim.Probe{Obs: o, Stage: obs.StageGrouping}
+	if !cfg.Faults.Enabled() {
+		label, stats, err := sim.AsyncLabelComponents(net.G, res.Boundary, cfg.AsyncSeed+1, pr)
+		return label, stats.Messages, err
+	}
+	faults := cfg.Faults
+	faults.Seed++
+	plan := sim.NewFaultPlan(faults, len(res.Boundary))
+	defer func() { res.FaultStats.Add(plan.Stats()) }()
+	opt := sim.ReliableOptions{Budget: cfg.RetransmitBudget}
+	if cfg.Async {
+		label, stats, err := sim.AsyncReliableLabelComponents(net.G, res.Boundary, cfg.AsyncSeed+1, plan, opt, pr)
+		return label, stats.Messages, err
+	}
+	label, stats, err := sim.ReliableLabelComponents(net.G, res.Boundary, plan, opt, pr)
+	return label, stats.Messages, err
 }
 
 // buildAllFrames is detection stage 1, shared by the paper pipeline and

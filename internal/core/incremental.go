@@ -37,9 +37,10 @@ package core
 // on the bound. Enlarging the dirty set is always safe (fact 1).
 //
 // Like the sharded engine, the incremental engine evaluates the flooding
-// phases by direct bounded traversal (IFF) and union-find (grouping), so
-// Async and Faults have nothing to perturb and are ignored, and the
-// message/fault counters of snapshots stay zero.
+// phases by direct bounded traversal (IFF) and the shared min-root
+// union-find (grouping), so Async and Faults have nothing to perturb and
+// are ignored, and the message/fault counters of snapshots stay zero. The
+// seeding run is an ordinary DetectContext, so it shares those kernels.
 
 import (
 	"context"
@@ -499,22 +500,11 @@ func (inc *Incremental) memberCount(sc *incScratch, src int32) int {
 	return count
 }
 
-// regroup rebuilds the boundary grouping from the current boundary mask,
-// reusing the sharded engine's union-find stitch (min-ID roots, so the
-// labels match the propagation protocol bit for bit).
+// regroup rebuilds the boundary grouping from the current boundary mask
+// with the shared min-root union-find (flood.go), so the labels match the
+// propagation protocol bit for bit.
 func (inc *Incremental) regroup() {
-	var edges [][2]int32
-	for u := range inc.pos {
-		if !inc.boundary[u] {
-			continue
-		}
-		for _, v := range inc.adj[u] {
-			if inc.boundary[v] {
-				edges = append(edges, [2]int32{int32(u), v})
-			}
-		}
-	}
-	inc.groupLabel = stitchGroups(len(inc.pos), inc.boundary, [][][2]int32{edges})
+	inc.groupLabel = groupLabels(len(inc.pos), inc.boundary, inc.Neighbors)
 	inc.groups = sim.Groups(inc.groupLabel)
 }
 

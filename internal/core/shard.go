@@ -28,12 +28,15 @@ package core
 //     with it every tie-break, work counter, and floating-point operation
 //     sequence.
 //
-// The flooding phases are evaluated by direct bounded traversal (IFF) and
-// union-find (grouping) instead of message passing: the protocols compute
+// The flooding phases are evaluated by the traversal kernels of flood.go,
+// shared with the unsharded pipeline: one depth-TTL member BFS per owned
+// candidate over the shard's view (fragmentSize) and a min-root union-find
+// over the boundary edges the shards emit (groupUF). The protocols compute
 // graph quantities — |members within TTL hops through members| and
 // per-component minimum IDs — that the traversals reproduce exactly.
-// Consequently Async and Faults have nothing to perturb and are ignored,
-// and Result.IFFMessages/GroupingMessages/FaultStats stay zero.
+// Unlike the unsharded path, the sharded engine derives no message counts:
+// Async and Faults are ignored, and Result.IFFMessages/GroupingMessages/
+// FaultStats stay zero.
 
 import (
 	"context"
@@ -340,19 +343,13 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 					mset.Add(l)
 				}
 			}
-			sc := &scratch[w]
-			var src [1]int
 			for _, l32 := range v.owned {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				g := v.glob[l32]
-				if !res.UBF[g] {
-					continue
+				if g := v.glob[l32]; res.UBF[g] {
+					counts[g] = fragmentSize(v.tab.CSR, &scratch[w], mset, int(l32), cfg.IFFTTL, nil)
 				}
-				src[0] = int(l32)
-				v.tab.CSR.BFSHops(sc, src[:], mset, cfg.IFFTTL)
-				counts[g] = len(sc.Reached())
 			}
 			return nil
 		})
@@ -415,48 +412,15 @@ func detectSharded(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 		groupSpan.End()
 		return nil, err
 	}
-	res.GroupLabel = stitchGroups(n, res.Boundary, shardEdges)
+	uf := newGroupUF(n)
+	for _, edges := range shardEdges {
+		for _, e := range edges {
+			uf.union(e[0], e[1])
+		}
+	}
+	res.GroupLabel = uf.labels(res.Boundary)
 	res.Groups = sim.Groups(res.GroupLabel)
 	obs.Add(o, obs.StageGrouping, obs.CtrGroups, int64(len(res.Groups)))
 	groupSpan.End()
 	return res, nil
-}
-
-// stitchGroups merges the shards' boundary-edge lists with union-find,
-// attaching the larger root under the smaller so each component's root is
-// its minimum ID — the label LabelComponents converges to. The outcome is
-// independent of edge order, hence of shard count and scheduling.
-func stitchGroups(n int, boundary []bool, shardEdges [][][2]int32) []int {
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	for _, edges := range shardEdges {
-		for _, e := range edges {
-			ra, rb := find(e[0]), find(e[1])
-			switch {
-			case ra == rb:
-			case ra < rb:
-				parent[rb] = ra
-			default:
-				parent[ra] = rb
-			}
-		}
-	}
-	label := make([]int, n)
-	for i := range label {
-		if boundary[i] {
-			label[i] = int(find(int32(i)))
-		} else {
-			label[i] = sim.NoGroup
-		}
-	}
-	return label
 }

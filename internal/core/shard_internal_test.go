@@ -77,7 +77,7 @@ func TestShardedDeepTTLFallback(t *testing.T) {
 }
 
 // TestShardedIFFSteadyStateAllocs pins the steady-state allocation count of
-// the sharded IFF inner loop — one bounded BFS per owned member over a
+// the sharded IFF inner loop — one fragmentSize BFS per owned member over a
 // warm Scratch and member set — at zero. The loop reuses one worker's
 // scratch across shards whose views differ in size, so this also guards
 // the epoch-stamp reset path of graph.Scratch under the engine's real
@@ -108,7 +108,6 @@ func TestShardedIFFSteadyStateAllocs(t *testing.T) {
 		views[s] = v
 	}
 	var mset graph.NodeSet
-	var src [1]int
 	iffPass := func() {
 		for _, v := range views {
 			if v == nil {
@@ -124,9 +123,7 @@ func TestShardedIFFSteadyStateAllocs(t *testing.T) {
 				if !base.UBF[v.glob[l32]] {
 					continue
 				}
-				src[0] = int(l32)
-				v.tab.CSR.BFSHops(&sc, src[:], &mset, cfg.IFFTTL)
-				_ = len(sc.Reached())
+				_ = fragmentSize(v.tab.CSR, &sc, &mset, int(l32), cfg.IFFTTL, nil)
 			}
 		}
 	}

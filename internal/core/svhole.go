@@ -192,7 +192,7 @@ func (svEnclosureDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 		return nil, err
 	}
 
-	if err := filterAndGroup(ctx, o, net, cfg, res); err != nil {
+	if err := filterAndGroup(ctx, o, net, tab.CSR, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -336,7 +336,7 @@ func (svContourDetector) DetectContext(ctx context.Context, o obs.Observer, net 
 	emitCandidates(o, res, tests)
 	candSpan.End()
 
-	if err := filterAndGroup(ctx, o, net, cfg, res); err != nil {
+	if err := filterAndGroup(ctx, o, net, graph.NewCSR(net.G), cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
