@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 # raise it when recording a baseline worth keeping.
 BENCHTIME ?= 0.3s
 
-.PHONY: build test vet race race-shard fuzz bench benchsmoke perfbench-test trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff check ci
+.PHONY: build test vet race race-shard fuzz bench benchsmoke perfbench-test trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff loc check ci
 
 build:
 	$(GO) build ./...
@@ -89,9 +89,8 @@ trace-stat:
 # ephemeral port, POSTs a generated network over real HTTP, streams
 # scripted delta batches, and diffs every served boundary-group result
 # against a from-scratch detection of the same active node set — then
-# re-exercises the deprecated unprefixed routes and a non-incremental
-# detector session. Nonzero exit on any divergence, HTTP failure, or
-# trace schema violation.
+# exercises a non-incremental detector session. Nonzero exit on any
+# divergence, HTTP failure, or trace schema violation.
 serve-smoke:
 	$(GO) run ./cmd/boundaryd -smoke
 
@@ -145,6 +144,22 @@ bench-diff:
 	echo "bench-diff: $$1 -> $$2"; \
 	$(GO) run ./cmd/tracestat -baseline $$2 -against $$1 \
 		-tol-ns $(TOL_NS) -tol-allocs $(TOL_ALLOCS) -tol-work $(TOL_WORK)
+
+# Net Go line counts per package against BASE (default HEAD), production
+# and test files separately, from `git diff --numstat` between BASE and the
+# working tree. New files count once they are tracked (`git add -A`).
+BASE ?= HEAD
+loc:
+	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk -F'\t' ' \
+		$$1 == "-" { next } \
+		{ d = $$3; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n = $$1 - $$2; seen[d] = 1 } \
+		$$3 ~ /_test\.go$$/ { test[d] += n; tt += n; next } \
+		{ prod[d] += n; tp += n } \
+		END { \
+			for (d in seen) printf "%-36s %+8d %+8d\n", d, prod[d], test[d] | "sort"; \
+			close("sort"); \
+			printf "%-36s %+8d %+8d\n", "total", tp, tt \
+		}' | { printf "%-36s %8s %8s\n" package prod test; cat; }
 
 check: vet race race-shard benchsmoke perfbench-test trace-smoke trace-stat serve-smoke mesh-smoke ftdc-smoke detector-matrix bench-diff fuzz
 

@@ -30,3 +30,26 @@ func TestDetectAllocsBounded(t *testing.T) {
 		t.Errorf("Detect allocates %.0f times per op on the bench fixture, bound %d", allocs, detectAllocBound)
 	}
 }
+
+// shardedAllocBound caps the allocations of one Shards: 4 Detect on the
+// same fixture. The shard views and their tables need about 300; one
+// allocation per node in any stage loop over the views would add 631 and
+// trip the bound.
+const shardedAllocBound = 600
+
+func TestShardedDetectAllocsBounded(t *testing.T) {
+	net, err := eval.Fig1().Scaled(benchScale).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Workers: 1, Shards: 4}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := core.Detect(net, nil, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Detect with %d shards on %d nodes: %.0f allocs/op", cfg.Shards, net.Len(), allocs)
+	if allocs > shardedAllocBound {
+		t.Errorf("Detect with %d shards allocates %.0f times per op on the bench fixture, bound %d", cfg.Shards, allocs, shardedAllocBound)
+	}
+}

@@ -12,7 +12,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/graph"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -102,7 +101,8 @@ func (degreeStatsDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 		return nil, err
 	}
 
-	if err := filterAndGroup(ctx, o, net, graph.NewCSR(net.G), cfg, res); err != nil {
+	tab := NewNodeTable(net, nil)
+	if err := filterAndGroup(ctx, o, net, tab.CSR, wholeView(tab), cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil

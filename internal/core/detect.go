@@ -12,7 +12,6 @@ import (
 	"repro/internal/mds"
 	"repro/internal/netgen"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -139,16 +138,17 @@ type Config struct {
 	// result is independent of the worker count.
 	Workers int
 
-	// Shards, when above 1, runs the sharded detection engine: the node
-	// set is cut into that many spatial shards, each shard detects over
-	// its owned nodes plus a bounded ghost halo, and the per-shard results
-	// are stitched back together. The outcome is bit-identical to the
-	// unsharded pipeline for every shard and worker count. The sharded
-	// engine evaluates the flooding phases by the same traversals as the
-	// default unsharded path, per shard, but derives no message counts:
-	// Async and Faults are ignored and the message/fault counters of the
-	// Result stay zero. Zero or 1 selects the ordinary single-shard
-	// pipeline. Requires a CapSharded detector.
+	// Shards, when above 1, cuts the node set into that many spatial
+	// shards: the detection stages loop over one view per shard (its
+	// owned nodes plus a bounded ghost halo) instead of the single
+	// whole-network view, dispatching work per shard instead of per node.
+	// The outcome is bit-identical to the unsharded run for every shard
+	// and worker count. Work that models the protocol over the whole
+	// network runs only with a single view, so a sharded run derives no
+	// message counts: Async and Faults are ignored and the message/fault
+	// counters of the Result stay zero. Zero or 1, or an IFFTTL too deep
+	// for a bounded halo, selects the single view. Requires a CapSharded
+	// detector.
 	Shards int
 
 	// Detector selects the registered detection algorithm by name; ""
@@ -266,10 +266,10 @@ type Result struct {
 	// IFFMessages and GroupingMessages count the packets exchanged by
 	// the two flooding phases — the protocol's communication cost
 	// (UBF itself sends nothing beyond the initial beacon exchanges).
-	// On the default path they are derived exactly from the traversals
-	// that evaluate the phases (the synchronous protocols' counts); under
-	// Async or Faults they are the simulated deliveries. The sharded
-	// engine reports zero.
+	// On the default single-view path they are derived exactly from the
+	// traversals that evaluate the phases (the synchronous protocols'
+	// counts); under Async or Faults they are the simulated deliveries.
+	// Sharded runs report zero.
 	IFFMessages      int
 	GroupingMessages int
 	// CandidateMessages counts packets exchanged by a competitor
@@ -347,8 +347,10 @@ func DetectContext(ctx context.Context, o obs.Observer, net *netgen.Network, mea
 	return det.DetectContext(ctx, o, net, meas, cfg)
 }
 
-// paperDetect is the paper's UBF/IFF pipeline — the pre-registry
-// DetectContext body, unchanged. PaperDetector delegates here.
+// paperDetect is the paper's UBF/IFF pipeline and the only stage pipeline.
+// PaperDetector delegates here. Its stages loop over the views of
+// detectionViews: the whole network when unsharded, the spatial shards
+// with their halos when cfg.Shards > 1 (see shard.go).
 func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas *netgen.Measurement, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(meas != nil)
 	if cfg.Coords == CoordsMDS && meas == nil {
@@ -362,9 +364,6 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		return detectSharded(ctx, o, net, meas, cfg)
 	}
 
 	detectSpan := obs.Start(o, obs.StageDetect)
@@ -380,28 +379,30 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 	}
 	radius := cfg.BallRadiusFactor * (1 + cfg.Epsilon) * tab.Radius
 	tol := cfg.InteriorTolerance * radius
+	views, err := detectionViews(ctx, o, tab, cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	// Stage 1 (CoordsMDS only): every node builds its one-hop MDS frame.
-	var frames []frame
 	if cfg.Coords == CoordsMDS {
-		var err error
-		if frames, err = buildAllFrames(ctx, o, tab, cfg, res); err != nil {
+		if err := buildAllFrames(ctx, o, views, cfg, res); err != nil {
 			return nil, err
 		}
 	}
 
-	// Stage 2: Unit Ball Fitting per node. Each worker owns a UBFScratch
-	// (grid, tolerance and ordering buffers) and an assembleScratch, so the
-	// steady-state per-node cost allocates nothing on the CoordsTrue path.
+	// Stage 2: Unit Ball Fitting per owned node. Each worker owns a
+	// UBFScratch (grid, tolerance and ordering buffers) and an
+	// assembleScratch, so the steady-state per-node cost allocates nothing
+	// on the CoordsTrue path; the epoch-stamped buffers re-arm per node
+	// regardless of the view size changing underneath them.
 	ubfSpan := obs.Start(o, obs.StageUBF)
 	scratch := make([]UBFScratch, cfg.Workers)
 	asm := make([]assembleScratch, cfg.Workers)
 	cellsProbed := make([]int64, cfg.Workers)
-	err := par.For(n, cfg.Workers, func(w, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		coords, candidates, spreads := assembleKnowledge(tab, cfg, frames, i, &asm[w])
+	err = forEachNode(ctx, views, 0, cfg.Workers, func(w, s, l int) error {
+		v := views[s]
+		coords, candidates, spreads := assembleKnowledge(&v.tab, cfg, v.frames, l, &asm[w])
 		// Per-point tolerance: every known position is discounted by its
 		// own locally observable uncertainty — the spread of the
 		// independent estimates the consensus stitching collected for
@@ -419,9 +420,10 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 			maxBorderline = cfg.MaxBorderline
 		}
 		r := scratch[w].Fit(coords, 0, candidates, radius, tolAt, maxBorderline)
-		res.UBF[i] = r.Boundary
-		res.BallsTested[i] = r.BallsTested
-		res.NodesChecked[i] = r.NodesChecked
+		g := v.glob[l]
+		res.UBF[g] = r.Boundary
+		res.BallsTested[g] = r.BallsTested
+		res.NodesChecked[g] = r.NodesChecked
 		cellsProbed[w] += int64(r.CellsProbed)
 		return nil
 	})
@@ -454,7 +456,7 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 		return nil, err
 	}
 
-	if err := filterAndGroup(ctx, o, net, tab.CSR, cfg, res); err != nil {
+	if err := filterAndGroup(ctx, o, net, tab.CSR, views, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -469,12 +471,14 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 // bit-identical and gives every detector the hardened fault/async
 // protocol variants for free. cfg must already carry defaults.
 //
-// By default both phases are evaluated by traversal (flood.go) with their
-// exact synchronous message counts; Async or Faults select the protocol
-// simulation in internal/sim. csr is net.G's CSR.
-func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, csr *graph.CSR, cfg Config, res *Result) error {
+// IFF counts fragments over views (one member BFS per owned candidate,
+// flood.go); grouping runs the min-root union-find over csr, the global
+// adjacency. With a single view the synchronous protocols' exact message
+// counts are derived alongside, and Async or Faults select the protocol
+// simulation in internal/sim instead; with several views neither runs.
+func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, csr *graph.CSR, views []*shardView, cfg Config, res *Result) error {
 	n := len(res.UBF)
-	simulate := cfg.Async || cfg.Faults.Enabled()
+	simulate := len(views) == 1 && (cfg.Async || cfg.Faults.Enabled())
 
 	// Stage 3: Isolated Fragment Filtering by TTL-bounded flooding.
 	res.Boundary = make([]bool, n)
@@ -489,7 +493,7 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cs
 			counts, res.IFFMessages, err = simulateIFF(o, net, cfg, res)
 		} else {
 			var cost floodCost
-			counts, cost, err = floodFragments(ctx, o, csr, res.UBF, cfg.IFFTTL, cfg.Workers)
+			counts, cost, err = viewFragments(ctx, o, views, res.UBF, cfg.IFFTTL, cfg.Workers)
 			res.IFFMessages = cost.Messages
 		}
 		if err != nil {
@@ -531,7 +535,9 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cs
 			return fmt.Errorf("grouping: %w", err)
 		}
 	} else {
-		res.GroupingMessages = labelPropagation(o, csr, res.Boundary).Messages
+		if len(views) == 1 {
+			res.GroupingMessages = labelPropagation(o, csr, res.Boundary).Messages
+		}
 		res.GroupLabel = groupLabels(csr.Len(), res.Boundary, csr.Neighbors)
 	}
 	res.Groups = sim.Groups(res.GroupLabel)
@@ -585,37 +591,45 @@ func simulateGrouping(o obs.Observer, net *netgen.Network, cfg Config, res *Resu
 }
 
 // buildAllFrames is detection stage 1, shared by the paper pipeline and
-// the enclosure competitor: every node builds its one-hop MDS frame in
-// parallel, and res.CoordError records each frame's RMSD against true
-// positions. cfg must carry defaults.
-func buildAllFrames(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Config, res *Result) ([]frame, error) {
-	n := tab.Len()
+// the enclosure competitor: every view node whose frame an owned node can
+// read builds its one-hop MDS frame into v.frames — the owned nodes, plus
+// under ScopeTwoHop the depth-1 ghosts whose frames the two-hop stitch
+// registers. A ghost's frame is recomputed identically by every view that
+// holds it: MDS is deterministic in its inputs, and the monotone renaming
+// keeps the inputs identical. res.CoordError records each owned node's
+// frame RMSD against true positions. cfg must carry defaults.
+func buildAllFrames(ctx context.Context, o obs.Observer, views []*shardView, cfg Config, res *Result) error {
 	framesSpan := obs.Start(o, obs.StageFrames)
-	res.CoordError = make([]float64, n)
-	frames := make([]frame, n)
-	err := par.For(n, cfg.Workers, func(_, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	defer framesSpan.End()
+	res.CoordError = make([]float64, len(res.UBF))
+	for _, v := range views {
+		if v != nil {
+			v.frames = make([]frame, len(v.glob))
 		}
-		f, err := buildFrame(tab, cfg, i)
+	}
+	maxDepth := int8(0)
+	if cfg.Scope == ScopeTwoHop {
+		maxDepth = 1
+	}
+	return forEachNode(ctx, views, maxDepth, cfg.Workers, func(_, s, l int) error {
+		v := views[s]
+		f, err := buildFrame(&v.tab, cfg, l)
 		if err != nil {
-			return fmt.Errorf("node %d frame: %w", i, err)
+			return fmt.Errorf("node %d frame: %w", v.glob[l], err)
 		}
-		frames[i] = f
+		v.frames[l] = f
+		if v.depth[l] != 0 {
+			return nil
+		}
 		truth := make([]geom.Vec3, len(f.members))
 		for k, m := range f.members {
-			truth[k] = tab.Pos[m]
+			truth[k] = v.tab.Pos[m]
 		}
 		if _, rmsd, aerr := geom.AlignRigid(f.coords, truth); aerr == nil {
-			res.CoordError[i] = rmsd
+			res.CoordError[v.glob[l]] = rmsd
 		}
 		return nil
 	})
-	framesSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	return frames, nil
 }
 
 // buildFrame embeds node i's closed one-hop neighborhood from measured
@@ -698,30 +712,11 @@ func (as *assembleScratch) visited(n int) []int32 {
 // Returned slices may alias as and are only valid until the next call with
 // the same scratch.
 func assembleKnowledge(tab *NodeTable, cfg Config, frames []frame, i int, as *assembleScratch) (coords []geom.Vec3, candidates []int, spreads []float64) {
-	oneHop := tab.Neighbors(i)
-	candidates = as.candidates[:0]
-	for k := range oneHop {
-		candidates = append(candidates, k+1) // coords layout: i, then its one-hop neighbors
-	}
-	as.candidates = candidates
-
 	if cfg.Coords == CoordsTrue {
-		members := append(as.members[:0], i)
-		for _, v := range oneHop {
-			members = append(members, int(v))
-		}
-		if cfg.Scope == ScopeTwoHop {
-			members = extendTwoHop(tab, i, members, as)
-		}
-		as.members = members
-		coords = as.coords[:0]
-		for _, m := range members {
-			coords = append(coords, tab.Pos[m])
-		}
-		as.coords = coords
+		coords, candidates = knownKnowledge(i, tab.Neighbors, tab.Pos, cfg.Scope, as)
 		return coords, candidates, nil
 	}
-
+	candidates = as.oneHopCandidates(len(tab.Neighbors(i)))
 	own := frames[i]
 	if cfg.Scope == ScopeOneHop {
 		spreads = as.spreads[:0]
@@ -735,23 +730,53 @@ func assembleKnowledge(tab *NodeTable, cfg Config, frames []frame, i int, as *as
 	return coords, candidates, spreads
 }
 
-// extendTwoHop appends the two-hop neighbors of i to members (which already
-// holds i and its one-hop neighbors), preserving order and uniqueness.
-func extendTwoHop(tab *NodeTable, i int, members []int, as *assembleScratch) []int {
-	stamp := as.visited(tab.Len())
-	e := as.epoch
-	for _, m := range members {
-		stamp[m] = e
+// oneHopCandidates returns the candidate indices of a node with deg
+// one-hop neighbors: the coordinate layout puts the node first, then its
+// one-hop neighbors.
+func (as *assembleScratch) oneHopCandidates(deg int) []int {
+	candidates := as.candidates[:0]
+	for k := 0; k < deg; k++ {
+		candidates = append(candidates, k+1)
 	}
-	for _, j := range tab.Neighbors(i) {
-		for _, u := range tab.Neighbors(int(j)) {
-			if stamp[u] != e {
-				stamp[u] = e
-				members = append(members, int(u))
+	as.candidates = candidates
+	return candidates
+}
+
+// knownKnowledge is node i's UBF view under known coordinates: i, its
+// one-hop neighbors ascending, then under ScopeTwoHop its two-hop
+// neighbors in first-appearance order, each at its position in pos, which
+// spans every ID the rows name. The batch pipeline passes a NodeTable's
+// rows and the incremental engine its mutable rows, so the two assemble
+// identical views.
+func knownKnowledge(i int, neighbors func(int) []int32, pos []geom.Vec3, scope Scope, as *assembleScratch) (coords []geom.Vec3, candidates []int) {
+	oneHop := neighbors(i)
+	candidates = as.oneHopCandidates(len(oneHop))
+	members := append(as.members[:0], i)
+	for _, v := range oneHop {
+		members = append(members, int(v))
+	}
+	if scope == ScopeTwoHop {
+		stamp := as.visited(len(pos))
+		e := as.epoch
+		for _, m := range members {
+			stamp[m] = e
+		}
+		for _, j := range oneHop {
+			for _, u := range neighbors(int(j)) {
+				if stamp[u] != e {
+					stamp[u] = e
+					members = append(members, int(u))
+				}
 			}
 		}
 	}
-	return members
+	as.members = members
+	coords = as.coords[:0]
+	for _, m := range members {
+		coords = append(coords, pos[m])
+	}
+	as.coords = coords
+	return coords, candidates
 }
 
 // stitchTwoHop extends node i's one-hop MDS frame with two-hop positions by

@@ -9,14 +9,14 @@ package core
 //   - Grouping: every member's label is the minimum ID of its component —
 //     one min-root union-find (groupUF).
 //
-// The default unsharded pipeline and the sharded engine (per shard view)
-// evaluate both phases with these kernels; the incremental engine seeds
-// through the unsharded pipeline and regroups with groupLabels (its
+// The detection pipeline evaluates both phases with these kernels, IFF per
+// view (shard.go) and grouping over the global adjacency; the incremental
+// engine seeds through that pipeline and regroups with groupLabels (its
 // per-delta IFF repair counts members over its own mutable rows). The
 // message simulator in internal/sim is reached only when Config.Async or
-// Config.Faults asks for a protocol simulation.
+// Config.Faults asks for a protocol simulation of a single-view run.
 //
-// The unsharded pipeline also reports the protocols' communication cost.
+// A single-view run also reports the protocols' communication cost.
 // Under synchronous rounds and perfect delivery the packet count and the
 // round structure are functions of the same traversals, so they are
 // derived exactly instead of simulated:
@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -120,35 +119,55 @@ func memberDegrees(c *graph.CSR, member []bool) []int32 {
 	return deg
 }
 
-// floodFragments is the default IFF evaluation: every member's fragment
-// size by a parallel depth-ttl member BFS, plus the flood protocol's exact
-// cost. Non-members report zero. With an observer it emits the simulator's
-// round stream and counters under StageIFF.
-func floodFragments(ctx context.Context, o obs.Observer, c *graph.CSR, member []bool, ttl, workers int) ([]int, floodCost, error) {
-	n := c.Len()
-	members := graph.NodeSetOf(member)
-	deg := memberDegrees(c, member)
+// viewFragments is the IFF evaluation of the detection pipeline: every owned
+// member's fragment size by a depth-ttl member BFS over its view (shard.go),
+// run under forEachNode with per-worker scratch. Non-members report zero.
+// With a single view it also derives the flood protocol's exact cost and,
+// with an observer, emits the simulator's round stream and counters under
+// StageIFF; with several views the cost stays zero and nothing is emitted.
+func viewFragments(ctx context.Context, o obs.Observer, views []*shardView, member []bool, ttl, workers int) ([]int, floodCost, error) {
+	sets := make([]*graph.NodeSet, len(views))
+	for s, v := range views {
+		if v == nil {
+			continue
+		}
+		sets[s] = graph.NewNodeSet(len(v.glob))
+		for l, g := range v.glob {
+			if member[g] {
+				sets[s].Add(l)
+			}
+		}
+	}
+	var tallies []floodTally
 	var ecc []int32
-	if o != nil {
-		ecc = make([]int32, n)
+	if len(views) == 1 {
+		deg := memberDegrees(views[0].tab.CSR, member)
+		if o != nil {
+			ecc = make([]int32, len(member))
+		}
+		tallies = make([]floodTally, workers)
+		for w := range tallies {
+			tallies[w] = floodTally{deg: deg, ecc: ecc}
+		}
 	}
 	scratch := make([]graph.Scratch, workers)
-	tallies := make([]floodTally, workers)
-	for w := range tallies {
-		tallies[w] = floodTally{deg: deg, ecc: ecc}
-	}
-	counts := make([]int, n)
-	err := par.For(n, workers, func(w, i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if member[i] {
-			counts[i] = fragmentSize(c, &scratch[w], members, i, ttl, &tallies[w])
+	counts := make([]int, len(member))
+	err := forEachNode(ctx, views, 0, workers, func(w, s, l int) error {
+		v := views[s]
+		if g := v.glob[l]; member[g] {
+			var tally *floodTally
+			if tallies != nil {
+				tally = &tallies[w]
+			}
+			counts[g] = fragmentSize(v.tab.CSR, &scratch[w], sets[s], l, ttl, tally)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, floodCost{}, err
+	}
+	if tallies == nil {
+		return counts, floodCost{}, nil
 	}
 	var sent []int64
 	for _, t := range tallies {
@@ -167,7 +186,7 @@ func floodFragments(ctx context.Context, o obs.Observer, c *graph.CSR, member []
 		}
 	}
 	if o != nil {
-		emitFloodRounds(o, c, member, ecc, sent, cost)
+		emitFloodRounds(o, views[0].tab.CSR, member, ecc, sent, cost)
 	}
 	return counts, cost, nil
 }
@@ -342,9 +361,9 @@ func (p groupUF) labels(member []bool) []int {
 	return label
 }
 
-// groupLabels is the grouping evaluation of the unsharded and incremental
-// engines: the min-ID component label of every member of the subgraph
-// induced by member, over n nodes with the given adjacency rows.
+// groupLabels is the grouping evaluation of the detection pipeline and the
+// incremental engine: the min-ID component label of every member of the
+// subgraph induced by member, over n nodes with the given adjacency rows.
 func groupLabels(n int, member []bool, neighbors func(u int) []int32) []int {
 	uf := newGroupUF(n)
 	for u, in := range member {

@@ -7,7 +7,7 @@ package core
 // scratch.
 //
 // Bit-identity with a full recompute over the active nodes rests on the
-// same locality facts the sharded engine documents in shard.go, applied in
+// same locality facts the detection views document in shard.go, applied in
 // Euclidean rather than hop terms (a hop spans at most the radio range R):
 //
 //  1. UBF locality: node u's verdict is a function of the positions of its
@@ -36,11 +36,13 @@ package core
 // rounding of the distance comparison for configurations sitting exactly
 // on the bound. Enlarging the dirty set is always safe (fact 1).
 //
-// Like the sharded engine, the incremental engine evaluates the flooding
+// Like a sharded run, the incremental engine evaluates the flooding
 // phases by direct bounded traversal (IFF) and the shared min-root
 // union-find (grouping), so Async and Faults have nothing to perturb and
 // are ignored, and the message/fault counters of snapshots stay zero. The
-// seeding run is an ordinary DetectContext, so it shares those kernels.
+// seeding run is an ordinary DetectContext, so it shares those kernels,
+// and a UBF repair assembles its view with the batch pipeline's
+// knownKnowledge over the engine's own rows.
 
 import (
 	"context"
@@ -419,44 +421,11 @@ func (inc *Incremental) repair(ctx context.Context, o obs.Observer, changed []ge
 	return nil
 }
 
-// fitUBF re-runs node u's Unit Ball Fitting against the current adjacency.
-// The knowledge assembly mirrors assembleKnowledge's CoordsTrue branch in
-// detect.go line for line (members = u, one-hop ascending, two-hop in
-// first-appearance order; uniform tolerance; no borderline cap) — the
-// differential suite enforces that the two stay in lockstep.
+// fitUBF re-runs node u's Unit Ball Fitting against the current adjacency,
+// assembling its view with the batch pipeline's own knownKnowledge (uniform
+// tolerance, no borderline cap, as under CoordsTrue).
 func (inc *Incremental) fitUBF(sc *incScratch, u int) UBFNodeResult {
-	as := &sc.asm
-	oneHop := inc.adj[u]
-	candidates := as.candidates[:0]
-	for k := range oneHop {
-		candidates = append(candidates, k+1)
-	}
-	as.candidates = candidates
-	members := append(as.members[:0], u)
-	for _, v := range oneHop {
-		members = append(members, int(v))
-	}
-	if inc.cfg.Scope == ScopeTwoHop {
-		stamp := as.visited(len(inc.pos))
-		e := as.epoch
-		for _, m := range members {
-			stamp[m] = e
-		}
-		for _, j := range oneHop {
-			for _, w := range inc.adj[j] {
-				if stamp[w] != e {
-					stamp[w] = e
-					members = append(members, int(w))
-				}
-			}
-		}
-	}
-	as.members = members
-	coords := as.coords[:0]
-	for _, m := range members {
-		coords = append(coords, inc.pos[m])
-	}
-	as.coords = coords
+	coords, candidates := knownKnowledge(u, inc.Neighbors, inc.pos, inc.cfg.Scope, &sc.asm)
 	return sc.ubf.Fit(coords, 0, candidates, inc.ballR, uniformTol(inc.tol), -1)
 }
 
@@ -693,9 +662,9 @@ func removeSorted(row []int32, v int32) []int32 {
 }
 
 // incGrid is a dynamic uniform hash grid over the active nodes, cell size
-// equal to the radio range — the mutable counterpart of netgen's
-// spatialGrid, answering range queries for connectivity updates and
-// dirty-region collection.
+// equal to the radio range — the mutable counterpart of the static
+// geom.PointGrid netgen connects deployments with, answering range queries
+// for connectivity updates and dirty-region collection.
 type incGrid struct {
 	cell  float64
 	cells map[incCell][]int32

@@ -136,10 +136,9 @@ func (svEnclosureDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 	res := newCandidateResult(n)
 	margin := cfg.EnclosureMargin * tab.Radius
 
-	var frames []frame
+	views := wholeView(tab)
 	if cfg.Coords == CoordsMDS {
-		var err error
-		if frames, err = buildAllFrames(ctx, o, tab, cfg, res); err != nil {
+		if err := buildAllFrames(ctx, o, views, cfg, res); err != nil {
 			return nil, err
 		}
 	}
@@ -155,7 +154,7 @@ func (svEnclosureDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		coords, _, _ := assembleKnowledge(tab, cfg, frames, i, &asm[w])
+		coords, _, _ := assembleKnowledge(tab, cfg, views[0].frames, i, &asm[w])
 		origin := coords[0]
 		dirsTried, dots := 0, 0
 		open := false
@@ -192,7 +191,7 @@ func (svEnclosureDetector) DetectContext(ctx context.Context, o obs.Observer, ne
 		return nil, err
 	}
 
-	if err := filterAndGroup(ctx, o, net, tab.CSR, cfg, res); err != nil {
+	if err := filterAndGroup(ctx, o, net, tab.CSR, views, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -336,7 +335,8 @@ func (svContourDetector) DetectContext(ctx context.Context, o obs.Observer, net 
 	emitCandidates(o, res, tests)
 	candSpan.End()
 
-	if err := filterAndGroup(ctx, o, net, graph.NewCSR(net.G), cfg, res); err != nil {
+	tab := NewNodeTable(net, nil)
+	if err := filterAndGroup(ctx, o, net, tab.CSR, wholeView(tab), cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil

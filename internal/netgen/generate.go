@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -89,16 +89,22 @@ func Generate(cfg Config) (*Network, error) {
 	return net, nil
 }
 
-// buildConnectivity links every pair of nodes within radius and records the
-// true link distances, with adjacency lists sorted by neighbor ID.
+// buildConnectivity links every pair of nodes within radius
+// (Dist2 <= radius²) and records the true link distances, with adjacency
+// lists sorted by neighbor ID.
 func buildConnectivity(positions []geom.Vec3, radius float64) (*graph.Graph, [][]float64) {
 	g := graph.New(len(positions))
-	grid := newSpatialGrid(positions, radius)
-	scratch := make([]int, 0, 64)
-	for i := range positions {
-		scratch = grid.neighborsWithin(scratch[:0], i, radius)
-		sort.Ints(scratch)
-		g.Adj[i] = append([]int(nil), scratch...)
+	var grid geom.PointGrid
+	grid.Build(positions, radius)
+	var buf []int32
+	for i, p := range positions {
+		buf = grid.AppendWithin(buf[:0], p, radius, i)
+		slices.Sort(buf)
+		row := make([]int, len(buf))
+		for k, j := range buf {
+			row[k] = int(j)
+		}
+		g.Adj[i] = row
 	}
 	dist := make([][]float64, len(positions))
 	for i := range positions {
@@ -108,6 +114,24 @@ func buildConnectivity(positions []geom.Vec3, radius float64) (*graph.Graph, [][
 		}
 	}
 	return g, dist
+}
+
+// countPairs returns the number of unordered pairs of points within r —
+// the edges buildConnectivity would link — without materializing
+// adjacency. It re-indexes the points into grid and reuses grid's and
+// *buf's storage, so the radius tuner's bisection allocates once.
+func countPairs(grid *geom.PointGrid, points []geom.Vec3, r float64, buf *[]int32) int {
+	grid.Build(points, r)
+	total := 0
+	for i, p := range points {
+		*buf = grid.AppendWithin((*buf)[:0], p, r, i)
+		for _, j := range *buf {
+			if int(j) > i {
+				total++
+			}
+		}
+	}
+	return total
 }
 
 // tuneRadius binary-searches the radio range that achieves the target
@@ -127,12 +151,13 @@ func tuneRadius(positions []geom.Vec3, targetDegree float64, bounds geom.AABB) (
 	if hi == 0 {
 		return 0, errors.New("netgen: degenerate deployment bounds")
 	}
+	var grid geom.PointGrid
+	var buf []int32
 	avgDegree := func(r float64) float64 {
 		if r <= 0 {
 			return 0
 		}
-		grid := newSpatialGrid(positions, r)
-		return 2 * float64(grid.countEdges(r)) / float64(n)
+		return 2 * float64(countPairs(&grid, positions, r, &buf)) / float64(n)
 	}
 	for iter := 0; iter < 48; iter++ {
 		mid := (lo + hi) / 2

@@ -3,6 +3,7 @@ package netgen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -243,43 +244,37 @@ func TestMeasureDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestSpatialGridMatchesBruteForce: buildConnectivity's rows and the
+// radius tuner's pair count, both answered by a geom.PointGrid, agree with
+// an all-pairs scan under the same Dist2 <= r² predicate.
 func TestSpatialGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := make([]geom.Vec3, 400)
 	for i := range pts {
 		pts[i] = geom.RandomInBox(rng, geom.NewAABB(geom.Zero, geom.V(4, 4, 4)))
 	}
-	const radius = 0.7
-	grid := newSpatialGrid(pts, radius)
-	for i := range pts {
-		got := grid.neighborsWithin(nil, i, radius)
-		sort.Ints(got)
-		var want []int
-		for j := range pts {
-			if j != i && pts[i].Dist(pts[j]) <= radius {
-				want = append(want, j)
+	var grid geom.PointGrid
+	var buf []int32
+	for _, radius := range []float64{0.35, 0.7, 1.3} {
+		g, _ := buildConnectivity(pts, radius)
+		total := 0
+		for i := range pts {
+			var want []int
+			for j := range pts {
+				if j != i && pts[i].Dist2(pts[j]) <= radius*radius {
+					want = append(want, j)
+					if j > i {
+						total++
+					}
+				}
+			}
+			if !slices.Equal(g.Adj[i], want) {
+				t.Fatalf("radius %v node %d: rows %v, brute force %v", radius, i, g.Adj[i], want)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("node %d: grid %d vs brute %d", i, len(got), len(want))
+		if got := countPairs(&grid, pts, radius, &buf); got != total {
+			t.Fatalf("radius %v: countPairs = %d, want %d", radius, got, total)
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("node %d neighbor mismatch", i)
-			}
-		}
-	}
-	// Edge count must agree with the pairwise sum.
-	total := 0
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if pts[i].Dist(pts[j]) <= radius {
-				total++
-			}
-		}
-	}
-	if got := grid.countEdges(radius); got != total {
-		t.Fatalf("countEdges = %d, want %d", got, total)
 	}
 }
 

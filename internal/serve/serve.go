@@ -1,24 +1,28 @@
 // Package serve implements boundaryd's HTTP/JSON API: a session registry
-// where clients POST a network once (the shared cli.Envelope framing or
-// the legacy raw network JSON of internal/export), then stream
-// join/leave/move/crash deltas and read back the updated boundary groups.
-// A session built on an incremental-capable detector (the paper pipeline)
-// wraps one core.Incremental engine, so a delta recomputes only the dirty
-// region around the change; sessions on other detectors fall back to a
-// full recompute per delta over the mirrored active set.
+// where clients POST a network once, then stream join/leave/move/crash
+// deltas and read back the updated boundary groups. A session built on an
+// incremental-capable detector (the paper pipeline) wraps one
+// core.Incremental engine, so a delta recomputes only the dirty region
+// around the change; sessions on other detectors fall back to a full
+// recompute per delta over the mirrored active set.
 //
-// Routes (current API version is /v1; the unprefixed spellings are
-// deprecated aliases that answer identically with a `Deprecation: true`
-// header and a `Link: ...; rel="successor-version"` pointing at the /v1
-// route):
+// Routes (API version /v1):
 //
 //	GET    /healthz                   liveness + session count
+//	GET    /v1/metrics                always-on counters and latency quantiles
 //	POST   /v1/sessions               create a session from a network
 //	GET    /v1/sessions               list session summaries
 //	GET    /v1/sessions/{id}          session detail (boundary + groups)
 //	GET    /v1/sessions/{id}/mesh     reconstructed boundary surfaces
 //	POST   /v1/sessions/{id}/deltas   apply an ordered batch of deltas
 //	DELETE /v1/sessions/{id}          drop a session
+//
+// The create body is either the shared cli.Envelope framing around a
+// netgen network or the bare network JSON of internal/export
+// (export.WriteNetworkJSON). The bare form stays because it is what a
+// client holding only an exported network posts — the repository
+// benchmark's serve workload among them — so it is not a deprecated
+// alias of the envelope.
 //
 // The mesh route serves one triangular surface per boundary group
 // (landmarks with smoothed positions, virtual edges, faces, manifold
@@ -363,43 +367,26 @@ func New(opts Options) *Server {
 	}
 }
 
-// Handler mounts the API routes: the versioned /v1 family plus the
-// pre-versioning unprefixed spellings as deprecated aliases.
+// Handler mounts the API routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.traced("GET /healthz", s.handleHealth))
-	// /v1/metrics is new with the versioned API — no legacy alias.
-	mux.HandleFunc("GET /v1/metrics", s.traced("GET /v1/metrics", s.handleMetrics))
-	// The mesh route is likewise /v1-only.
-	mux.HandleFunc("GET /v1/sessions/{id}/mesh", s.traced("GET /v1/sessions/{id}/mesh", s.handleMesh))
 	routes := []struct {
-		method, path string
-		fn           http.HandlerFunc
+		route string
+		fn    http.HandlerFunc
 	}{
-		{"POST", "/sessions", s.handleCreate},
-		{"GET", "/sessions", s.handleList},
-		{"GET", "/sessions/{id}", s.handleGet},
-		{"DELETE", "/sessions/{id}", s.handleDelete},
-		{"POST", "/sessions/{id}/deltas", s.handleDeltas},
+		{"GET /healthz", s.handleHealth},
+		{"GET /v1/metrics", s.handleMetrics},
+		{"POST /v1/sessions", s.handleCreate},
+		{"GET /v1/sessions", s.handleList},
+		{"GET /v1/sessions/{id}", s.handleGet},
+		{"GET /v1/sessions/{id}/mesh", s.handleMesh},
+		{"DELETE /v1/sessions/{id}", s.handleDelete},
+		{"POST /v1/sessions/{id}/deltas", s.handleDeltas},
 	}
 	for _, rt := range routes {
-		v1 := rt.method + " /v1" + rt.path
-		mux.HandleFunc(v1, s.traced(v1, rt.fn))
-		legacy := rt.method + " " + rt.path
-		mux.HandleFunc(legacy, s.traced(legacy, deprecated(rt.fn)))
+		mux.HandleFunc(rt.route, s.traced(rt.route, rt.fn))
 	}
 	return mux
-}
-
-// deprecated marks a legacy unprefixed route per the IETF Deprecation
-// header draft, pointing clients at the versioned successor, and then
-// answers identically.
-func deprecated(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		fn(w, r)
-	}
 }
 
 // traced wraps a handler in a StageServe span labeled with the route.
@@ -574,7 +561,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		envDetector = env.Detector
 	} else if !errors.Is(err, cli.ErrNotEnvelope) {
 		// Malformed envelope (trailing data, truncated JSON): refuse
-		// rather than reinterpret as a legacy payload.
+		// rather than reinterpret as a bare network.
 		writeErr(w, http.StatusBadRequest, "malformed envelope: %v", err)
 		return
 	}
