@@ -146,9 +146,8 @@ type Config struct {
 	// and worker count. Work that models the protocol over the whole
 	// network runs only with a single view, so a sharded run derives no
 	// message counts: Async and Faults are ignored and the message/fault
-	// counters of the Result stay zero. Zero or 1, or an IFFTTL too deep
-	// for a bounded halo, selects the single view. Requires a CapSharded
-	// detector.
+	// counters of the Result stay zero. Zero or 1 selects the single
+	// view. Requires a CapSharded detector.
 	Shards int
 
 	// Detector selects the registered detection algorithm by name; ""
@@ -471,9 +470,9 @@ func paperDetect(ctx context.Context, o obs.Observer, net *netgen.Network, meas 
 // bit-identical and gives every detector the hardened fault/async
 // protocol variants for free. cfg must already carry defaults.
 //
-// IFF counts fragments over views (one member BFS per owned candidate,
-// flood.go); grouping runs the min-root union-find over csr, the global
-// adjacency. With a single view the synchronous protocols' exact message
+// IFF counts fragments over csr, the global adjacency (one member BFS per
+// owned candidate of each view, flood.go); grouping runs the min-root
+// union-find over csr. With a single view the synchronous protocols' exact message
 // counts are derived alongside, and Async or Faults select the protocol
 // simulation in internal/sim instead; with several views neither runs.
 func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, csr *graph.CSR, views []*shardView, cfg Config, res *Result) error {
@@ -493,7 +492,7 @@ func filterAndGroup(ctx context.Context, o obs.Observer, net *netgen.Network, cs
 			counts, res.IFFMessages, err = simulateIFF(o, net, cfg, res)
 		} else {
 			var cost floodCost
-			counts, cost, err = viewFragments(ctx, o, views, res.UBF, cfg.IFFTTL, cfg.Workers)
+			counts, cost, err = viewFragments(ctx, o, csr, views, res.UBF, cfg.IFFTTL, cfg.Workers)
 			res.IFFMessages = cost.Messages
 		}
 		if err != nil {

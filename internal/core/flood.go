@@ -9,8 +9,8 @@ package core
 //   - Grouping: every member's label is the minimum ID of its component —
 //     one min-root union-find (groupUF).
 //
-// The detection pipeline evaluates both phases with these kernels, IFF per
-// view (shard.go) and grouping over the global adjacency; the incremental
+// The detection pipeline evaluates both phases with these kernels over the
+// global adjacency, IFF dispatched per view (shard.go); the incremental
 // engine seeds through that pipeline and regroups with groupLabels (its
 // per-delta IFF repair counts members over its own mutable rows). The
 // message simulator in internal/sim is reached only when Config.Async or
@@ -120,28 +120,19 @@ func memberDegrees(c *graph.CSR, member []bool) []int32 {
 }
 
 // viewFragments is the IFF evaluation of the detection pipeline: every owned
-// member's fragment size by a depth-ttl member BFS over its view (shard.go),
-// run under forEachNode with per-worker scratch. Non-members report zero.
-// With a single view it also derives the flood protocol's exact cost and,
-// with an observer, emits the simulator's round stream and counters under
-// StageIFF; with several views the cost stays zero and nothing is emitted.
-func viewFragments(ctx context.Context, o obs.Observer, views []*shardView, member []bool, ttl, workers int) ([]int, floodCost, error) {
-	sets := make([]*graph.NodeSet, len(views))
-	for s, v := range views {
-		if v == nil {
-			continue
-		}
-		sets[s] = graph.NewNodeSet(len(v.glob))
-		for l, g := range v.glob {
-			if member[g] {
-				sets[s].Add(l)
-			}
-		}
-	}
+// member's fragment size by a depth-ttl member BFS over csr, the global
+// adjacency, run under forEachNode with per-worker scratch. Views only
+// dispatch their owned nodes, so the halo need not reach ttl hops.
+// Non-members report zero. With a single view it also derives the flood
+// protocol's exact cost and, with an observer, emits the simulator's round
+// stream and counters under StageIFF; with several views the cost stays
+// zero and nothing is emitted.
+func viewFragments(ctx context.Context, o obs.Observer, csr *graph.CSR, views []*shardView, member []bool, ttl, workers int) ([]int, floodCost, error) {
+	members := graph.NodeSetOf(member)
 	var tallies []floodTally
 	var ecc []int32
 	if len(views) == 1 {
-		deg := memberDegrees(views[0].tab.CSR, member)
+		deg := memberDegrees(csr, member)
 		if o != nil {
 			ecc = make([]int32, len(member))
 		}
@@ -153,13 +144,12 @@ func viewFragments(ctx context.Context, o obs.Observer, views []*shardView, memb
 	scratch := make([]graph.Scratch, workers)
 	counts := make([]int, len(member))
 	err := forEachNode(ctx, views, 0, workers, func(w, s, l int) error {
-		v := views[s]
-		if g := v.glob[l]; member[g] {
+		if g := views[s].glob[l]; member[g] {
 			var tally *floodTally
 			if tallies != nil {
 				tally = &tallies[w]
 			}
-			counts[g] = fragmentSize(v.tab.CSR, &scratch[w], sets[s], l, ttl, tally)
+			counts[g] = fragmentSize(csr, &scratch[w], members, int(g), ttl, tally)
 		}
 		return nil
 	})
@@ -186,7 +176,7 @@ func viewFragments(ctx context.Context, o obs.Observer, views []*shardView, memb
 		}
 	}
 	if o != nil {
-		emitFloodRounds(o, views[0].tab.CSR, member, ecc, sent, cost)
+		emitFloodRounds(o, csr, member, ecc, sent, cost)
 	}
 	return counts, cost, nil
 }

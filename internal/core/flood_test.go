@@ -159,9 +159,10 @@ func TestFloodKernelsMatchSim(t *testing.T) {
 		}
 	})
 	t.Run("deep-ttl", func(t *testing.T) {
-		// Past maxShardHalo the sharded engine falls back to this path.
+		// A TTL far past the sharded engine's scope-deep halo; a sharded
+		// run must match this path (TestShardedDeepTTL).
 		checkDetectMatchesSim(t, "deep-ttl", shardTestNet(t),
-			Config{IFFThreshold: 5, IFFTTL: maxShardHalo + 1})
+			Config{IFFThreshold: 5, IFFTTL: 121})
 	})
 	t.Run("iff-disabled", func(t *testing.T) {
 		checkDetectMatchesSim(t, "iff-disabled", shardTestNet(t), Config{IFFThreshold: -1})

@@ -13,10 +13,11 @@ package core
 // here because every test in shard_differential_test.go enforces them:
 //
 //  1. Locality (the paper's Sec. II): a node's UBF verdict reads its
-//     two-hop neighborhood at most (coordinates of the frames it stitches),
-//     and its IFF count reads the members within IFFTTL hops. A view at
-//     halo depth D = max(scope hops, IFFTTL) therefore contains every node
-//     any owned-node computation dereferences.
+//     two-hop neighborhood at most (coordinates of the frames it stitches).
+//     A view at halo depth D = scope hops (2 for two-hop knowledge, 1 for
+//     one-hop) therefore contains every node an owned node's frames and
+//     UBF dereference. IFF and grouping read the global adjacency, so
+//     neither widens the halo.
 //  2. Edge completeness: a view keeps exactly the global adjacency
 //     restricted to its node set, so any edge whose endpoints are both in
 //     the view survives compaction — and every node at view depth d < D has
@@ -30,8 +31,9 @@ package core
 //     with it every tie-break, work counter, and floating-point operation
 //     sequence.
 //
-// Grouping needs no view: it runs the min-root union-find of flood.go over
-// the global adjacency. Work that models the protocol over the whole
+// IFF still dispatches per view — one member BFS per owned candidate — but
+// the BFS runs over the global adjacency (flood.go), and grouping runs the
+// min-root union-find over it. Work that models the protocol over the whole
 // network runs only with a single view: the flooding phases' exact message
 // and round counts (with their round events), and the Async/Faults protocol
 // simulation. A sharded run reports zero messages and fault stats and
@@ -40,7 +42,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -68,37 +69,35 @@ type shardView struct {
 	frames []frame
 }
 
-// maxShardHalo bounds the halo depth sharding accepts; beyond it (an absurd
-// IFFTTL) the halo would swallow the whole graph anyway, so the run
-// detects over a single view.
-const maxShardHalo = 120
-
 // shardHaloDepth returns the ghost-halo depth a configuration needs: the
-// emptiness-knowledge scope in hops, or the IFF flood's TTL, whichever
-// reaches farther.
+// emptiness-knowledge scope in hops.
 func shardHaloDepth(cfg Config) int {
-	d := 1
 	if cfg.Scope == ScopeTwoHop {
-		d = 2
+		return 2
 	}
-	if cfg.IFFThreshold >= 0 && cfg.IFFTTL > d {
-		d = cfg.IFFTTL
-	}
-	return d
+	return 1
 }
 
 // buildShardView compacts shard s of the partition into local tables:
 // view nodes ascending by global ID, adjacency filtered to the view,
-// measured distances carried arc-parallel.
-func buildShardView(tab *NodeTable, shd *shard.Sharding, s, depthHops int, sc *graph.Scratch) (*shardView, error) {
+// measured distances carried arc-parallel. local is the worker's
+// network-sized global-to-local lookup, every entry -1 on entry and on
+// return, so filtering an arc is one array read.
+func buildShardView(tab *NodeTable, shd *shard.Sharding, s, depthHops int, sc *graph.Scratch, local []int32) (*shardView, error) {
 	glob, depth := shd.ViewNodes(tab.CSR, s, depthHops, nil, sc)
 	nv := len(glob)
 	v := &shardView{glob: glob, depth: depth}
 
 	arcs := 0
-	for _, g := range glob {
+	for l, g := range glob {
+		local[g] = int32(l)
 		arcs += tab.CSR.Degree(int(g))
 	}
+	defer func() {
+		for _, g := range glob {
+			local[g] = -1
+		}
+	}()
 	rowPtr := make([]int32, nv+1)
 	col := make([]int32, 0, arcs)
 	var measFlat []float64
@@ -113,13 +112,11 @@ func buildShardView(tab *NodeTable, shd *shard.Sharding, s, depthHops int, sc *g
 		row := tab.CSR.Neighbors(g)
 		mrow := tab.MeasRow(g)
 		for k, nb := range row {
-			// Keep the arc when the neighbor is in the view; the local ID
-			// is its position in the ascending glob array.
-			at := sort.Search(nv, func(i int) bool { return glob[i] >= nb })
-			if at == nv || glob[at] != nb {
+			at := local[nb]
+			if at < 0 { // neighbor outside the view
 				continue
 			}
-			col = append(col, int32(at))
+			col = append(col, at)
 			if measFlat != nil {
 				measFlat = append(measFlat, mrow[k])
 			}
@@ -139,6 +136,15 @@ func buildShardView(tab *NodeTable, shd *shard.Sharding, s, depthHops int, sc *g
 	return v, nil
 }
 
+// newViewLookup returns a cleared global-to-local lookup for buildShardView.
+func newViewLookup(n int) []int32 {
+	local := make([]int32, n)
+	for i := range local {
+		local[i] = -1
+	}
+	return local
+}
+
 // wholeView is the single view of an unsharded run: the whole table under
 // the identity renaming, every node owned at depth 0.
 func wholeView(tab *NodeTable) []*shardView {
@@ -151,14 +157,13 @@ func wholeView(tab *NodeTable) []*shardView {
 }
 
 // detectionViews returns the views a detection loops over: the spatial
-// shards with their halos when cfg asks for more than one shard and the
-// halo depth stays within maxShardHalo, the whole table otherwise. Only
-// the sharded case runs under a StagePartition span. Empty shards (more
-// shards than populated grid regions) stay nil, so a sharded run always
-// has cfg.Shards views.
+// shards with their halos when cfg asks for more than one shard, the whole
+// table otherwise. Only the sharded case runs under a StagePartition span.
+// Empty shards (more shards than populated grid regions) stay nil, so a
+// sharded run always has cfg.Shards views. Each worker keeps one
+// network-sized lookup for buildShardView, reused across its shards.
 func detectionViews(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Config) ([]*shardView, error) {
-	depthHops := shardHaloDepth(cfg)
-	if cfg.Shards <= 1 || depthHops > maxShardHalo {
+	if cfg.Shards <= 1 {
 		return wholeView(tab), nil
 	}
 	partSpan := obs.Start(o, obs.StagePartition)
@@ -169,6 +174,7 @@ func detectionViews(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Con
 	}
 	views := make([]*shardView, cfg.Shards)
 	scratch := make([]graph.Scratch, cfg.Workers)
+	local := make([][]int32, cfg.Workers)
 	err = par.For(cfg.Shards, cfg.Workers, func(w, s int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -176,7 +182,10 @@ func detectionViews(ctx context.Context, o obs.Observer, tab *NodeTable, cfg Con
 		if shd.OwnedCount(s) == 0 {
 			return nil
 		}
-		v, verr := buildShardView(tab, shd, s, depthHops, &scratch[w])
+		if local[w] == nil {
+			local[w] = newViewLookup(tab.Len())
+		}
+		v, verr := buildShardView(tab, shd, s, shardHaloDepth(cfg), &scratch[w], local[w])
 		if verr != nil {
 			return fmt.Errorf("shard %d view: %w", s, verr)
 		}

@@ -17,7 +17,7 @@ import (
 // the flood kernel differential (flood_test.go) diffs against the
 // simulator.
 func floodFragments(ctx context.Context, o obs.Observer, c *graph.CSR, member []bool, ttl, workers int) ([]int, floodCost, error) {
-	return viewFragments(ctx, o, wholeView(&NodeTable{CSR: c}), member, ttl, workers)
+	return viewFragments(ctx, o, c, wholeView(&NodeTable{CSR: c}), member, ttl, workers)
 }
 
 // verdictTransitions returns the UBF claims and IFF rescinds of a trace in

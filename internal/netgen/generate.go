@@ -3,6 +3,7 @@ package netgen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -118,12 +119,15 @@ func buildConnectivity(positions []geom.Vec3, radius float64) (*graph.Graph, [][
 
 // countPairs returns the number of unordered pairs of points within r —
 // the edges buildConnectivity would link — without materializing
-// adjacency. It re-indexes the points into grid and reuses grid's and
-// *buf's storage, so the radius tuner's bisection allocates once.
-func countPairs(grid *geom.PointGrid, points []geom.Vec3, r float64, buf *[]int32) int {
+// adjacency, stopping as soon as the count reaches limit. It re-indexes the
+// points into grid and reuses grid's and *buf's storage.
+func countPairs(grid *geom.PointGrid, points []geom.Vec3, r float64, limit int, buf *[]int32) int {
 	grid.Build(points, r)
 	total := 0
 	for i, p := range points {
+		if total >= limit {
+			break
+		}
 		*buf = grid.AppendWithin((*buf)[:0], p, r, i)
 		for _, j := range *buf {
 			if int(j) > i {
@@ -134,10 +138,40 @@ func countPairs(grid *geom.PointGrid, points []geom.Vec3, r float64, buf *[]int3
 	return total
 }
 
-// tuneRadius binary-searches the radio range that achieves the target
-// average degree. Average degree grows monotonically with the radius, so
-// bisection converges; ~40 iterations give far better than floating-point
-// placement accuracy.
+// pairDist2 returns the squared distance of every unordered pair of points
+// within r, ascending. Each value is the Dist2 that AppendWithin compares
+// against r², so a pair lies within any r' <= r exactly when its value is
+// <= r'².
+func pairDist2(grid *geom.PointGrid, points []geom.Vec3, r float64, buf *[]int32) []float64 {
+	grid.Build(points, r)
+	var d2 []float64
+	for i, p := range points {
+		*buf = grid.AppendWithin((*buf)[:0], p, r, i)
+		for _, j := range *buf {
+			if int(j) > i {
+				d2 = append(d2, points[j].Dist2(p))
+			}
+		}
+	}
+	slices.Sort(d2)
+	return d2
+}
+
+// tuneRadius bisects for the radio range that achieves the target average
+// degree: 48 halvings of [0, bounding-box diagonal], keeping the upper half
+// whenever the probe's average degree 2·pairs/n falls short of the target.
+// Average degree grows monotonically with the radius, so bisection
+// converges, far past floating-point placement accuracy.
+//
+// A probe needs only its pass/miss decision, i.e. whether pairs(mid)
+// reaches need, the smallest passing pair count. Until the first miss each
+// probe counts pairs only up to need. At the first miss every later probe
+// lies below the current hi, so the squared distances of the pairs within
+// hi are collected once and sorted; a later probe passes exactly when the
+// need-th smallest of them is within mid². The list holds the pairs within
+// twice the first missing radius, about 8× the target edge count in a 3-D
+// deployment of uniform density. The decisions, and hence the radius, are
+// those of counting every probe in full.
 func tuneRadius(positions []geom.Vec3, targetDegree float64, bounds geom.AABB) (float64, error) {
 	n := len(positions)
 	if n < 2 {
@@ -151,20 +185,33 @@ func tuneRadius(positions []geom.Vec3, targetDegree float64, bounds geom.AABB) (
 	if hi == 0 {
 		return 0, errors.New("netgen: degenerate deployment bounds")
 	}
+	misses := func(pairs int) bool { return 2*float64(pairs)/float64(n) < targetDegree }
+	need := int(math.Ceil(targetDegree * float64(n) / 2))
+	for need > 0 && !misses(need-1) {
+		need--
+	}
+	for misses(need) {
+		need++
+	}
 	var grid geom.PointGrid
 	var buf []int32
-	avgDegree := func(r float64) float64 {
-		if r <= 0 {
-			return 0
-		}
-		return 2 * float64(countPairs(&grid, positions, r, &buf)) / float64(n)
-	}
+	var d2 []float64 // sorted pair distances² within hi, from the first miss on
+	missed := false
 	for iter := 0; iter < 48; iter++ {
 		mid := (lo + hi) / 2
-		if avgDegree(mid) < targetDegree {
-			lo = mid
-		} else {
+		var pass bool
+		switch {
+		case missed:
+			pass = need <= len(d2) && d2[need-1] <= mid*mid
+		case countPairs(&grid, positions, mid, need, &buf) >= need:
+			pass = true
+		default:
+			d2, missed = pairDist2(&grid, positions, hi, &buf), true
+		}
+		if pass {
 			hi = mid
+		} else {
+			lo = mid
 		}
 	}
 	return (lo + hi) / 2, nil

@@ -245,8 +245,9 @@ func TestMeasureDeterministicPerSeed(t *testing.T) {
 }
 
 // TestSpatialGridMatchesBruteForce: buildConnectivity's rows and the
-// radius tuner's pair count, both answered by a geom.PointGrid, agree with
-// an all-pairs scan under the same Dist2 <= r² predicate.
+// radius tuner's pair count and pair distance list, all answered by a
+// geom.PointGrid, agree with an all-pairs scan under the same Dist2 <= r²
+// predicate.
 func TestSpatialGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := make([]geom.Vec3, 400)
@@ -257,14 +258,14 @@ func TestSpatialGridMatchesBruteForce(t *testing.T) {
 	var buf []int32
 	for _, radius := range []float64{0.35, 0.7, 1.3} {
 		g, _ := buildConnectivity(pts, radius)
-		total := 0
+		var d2 []float64
 		for i := range pts {
 			var want []int
 			for j := range pts {
 				if j != i && pts[i].Dist2(pts[j]) <= radius*radius {
 					want = append(want, j)
 					if j > i {
-						total++
+						d2 = append(d2, pts[j].Dist2(pts[i]))
 					}
 				}
 			}
@@ -272,8 +273,18 @@ func TestSpatialGridMatchesBruteForce(t *testing.T) {
 				t.Fatalf("radius %v node %d: rows %v, brute force %v", radius, i, g.Adj[i], want)
 			}
 		}
-		if got := countPairs(&grid, pts, radius, &buf); got != total {
+		total := len(d2)
+		if got := countPairs(&grid, pts, radius, math.MaxInt, &buf); got != total {
 			t.Fatalf("radius %v: countPairs = %d, want %d", radius, got, total)
+		}
+		for _, limit := range []int{1, total / 2, total, total + 1} {
+			if got := countPairs(&grid, pts, radius, limit, &buf); (got >= limit) != (total >= limit) || got > total {
+				t.Fatalf("radius %v limit %d: countPairs = %d of %d", radius, limit, got, total)
+			}
+		}
+		slices.Sort(d2)
+		if got := pairDist2(&grid, pts, radius, &buf); !slices.Equal(got, d2) {
+			t.Fatalf("radius %v: pairDist2 differs from the brute-force list", radius)
 		}
 	}
 }

@@ -14,7 +14,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -124,13 +124,13 @@ func (s *Sharding) OwnedCount(shard int) int { return len(s.Owned[shard]) }
 // Detection phases read only bounded-hop neighborhoods of owned nodes, so
 // a view at the right depth contains everything a shard needs: depth 2
 // covers two-hop Unit Ball Fitting knowledge (coordinates of the frames'
-// frames), depth T covers the TTL-T flood of Isolated Fragment Filtering.
+// frames), depth 1 the one-hop scope.
 func (s *Sharding) ViewNodes(c *graph.CSR, shard, depth int, allowed *graph.NodeSet, sc *graph.Scratch) (nodes []int32, dist []int8) {
 	c.BFSHops(sc, s.Owned[shard], allowed, depth)
 	reached := sc.Reached()
 	nodes = make([]int32, len(reached))
 	copy(nodes, reached)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	dist = make([]int8, len(nodes))
 	for i, v := range nodes {
 		dist[i] = int8(sc.Dist(int(v)))
