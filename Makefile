@@ -32,11 +32,14 @@ race:
 # flood-kernel differential against the simulator and the observed
 # DetectContext suites), the incremental surface engine's differential
 # matrix (cached mesh repair at several worker widths), and the always-on
-# metrics/FTDC capture path (atomic sinks racing a sampler goroutine).
+# metrics/FTDC capture path (atomic sinks racing a sampler goroutine), and
+# the local-MDS frames and alignment path (per-worker MDS and eigensolver
+# workspaces reused across nodes: a workspace shared between workers races
+# in the sharded MDS differential and the parallel MDS detections).
 # (The blanket `race` target covers these too; this target is the quick
 # iteration loop.)
 race-shard:
-	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Flood|DetectContext|Metrics|FTDC|Ring|Sampler|Mesh' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh
+	$(GO) test -race -count=1 -run 'Shard|Incremental|Serve|Detector|Flood|DetectContext|Metrics|FTDC|Ring|Sampler|Mesh|MDS|Medoid|Localize|Scratch|Eigen|Align|Horn' ./internal/core ./internal/partition/shard ./internal/graph ./internal/serve ./internal/obs ./internal/obs/ftdc ./internal/mesh ./internal/mds ./internal/geom
 
 # `go test -fuzz` accepts a single package per invocation, so each fuzz
 # target gets its own run.

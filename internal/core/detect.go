@@ -303,8 +303,7 @@ var (
 type frame struct {
 	members  []int
 	coords   []geom.Vec3
-	index    map[int]int // node ID -> position in members/coords
-	residual float64     // RMS measured-vs-embedded distance residual
+	residual float64 // RMS measured-vs-embedded distance residual
 }
 
 // Detect runs the full localized boundary-detection pipeline: local frames,
@@ -597,22 +596,38 @@ func simulateGrouping(o obs.Observer, net *netgen.Network, cfg Config, res *Resu
 // holds it: MDS is deterministic in its inputs, and the monotone renaming
 // keeps the inputs identical. res.CoordError records each owned node's
 // frame RMSD against true positions. cfg must carry defaults.
+//
+// A view's frames share two slabs, members and coordinates: node l's
+// closed neighborhood sits at offset RowOffset(l)+l, so workers fill
+// disjoint ranges, and with one frameScratch per worker a frame costs no
+// allocation.
 func buildAllFrames(ctx context.Context, o obs.Observer, views []*shardView, cfg Config, res *Result) error {
 	framesSpan := obs.Start(o, obs.StageFrames)
 	defer framesSpan.End()
 	res.CoordError = make([]float64, len(res.UBF))
-	for _, v := range views {
+	type slab struct {
+		members []int
+		coords  []geom.Vec3
+	}
+	slabs := make([]slab, len(views))
+	for s, v := range views {
 		if v != nil {
-			v.frames = make([]frame, len(v.glob))
+			n := v.tab.Len()
+			v.frames = make([]frame, n)
+			size := v.tab.CSR.RowOffset(n) + n
+			slabs[s] = slab{members: make([]int, size), coords: make([]geom.Vec3, size)}
 		}
 	}
 	maxDepth := int8(0)
 	if cfg.Scope == ScopeTwoHop {
 		maxDepth = 1
 	}
-	return forEachNode(ctx, views, maxDepth, cfg.Workers, func(_, s, l int) error {
+	scratch := make([]frameScratch, cfg.Workers)
+	return forEachNode(ctx, views, maxDepth, cfg.Workers, func(w, s, l int) error {
 		v := views[s]
-		f, err := buildFrame(&v.tab, cfg, l)
+		fs := &scratch[w]
+		lo, hi := v.tab.CSR.RowOffset(l)+l, v.tab.CSR.RowOffset(l+1)+l+1
+		f, err := buildFrame(&v.tab, cfg, l, slabs[s].members[lo:lo:hi], slabs[s].coords[lo:hi:hi], fs)
 		if err != nil {
 			return fmt.Errorf("node %d frame: %w", v.glob[l], err)
 		}
@@ -620,10 +635,11 @@ func buildAllFrames(ctx context.Context, o obs.Observer, views []*shardView, cfg
 		if v.depth[l] != 0 {
 			return nil
 		}
-		truth := make([]geom.Vec3, len(f.members))
-		for k, m := range f.members {
-			truth[k] = v.tab.Pos[m]
+		truth := fs.truth[:0]
+		for _, m := range f.members {
+			truth = append(truth, v.tab.Pos[m])
 		}
+		fs.truth = truth
 		if _, rmsd, aerr := geom.AlignRigid(f.coords, truth); aerr == nil {
 			res.CoordError[v.glob[l]] = rmsd
 		}
@@ -631,27 +647,91 @@ func buildAllFrames(ctx context.Context, o obs.Observer, views []*shardView, cfg
 	})
 }
 
+// frameScratch is one worker's reusable frame-building storage: the MDS
+// workspace, the frame's measured-distance table and the true positions
+// the CoordError alignment reads.
+type frameScratch struct {
+	mds    mds.Scratch
+	meas   []float64 // meas[a*n+b]: measured length of arc members[a]→members[b]
+	has    []bool    // has[a*n+b]: that arc exists
+	sorted []int     // member indices in ascending node-ID order
+	truth  []geom.Vec3
+}
+
 // buildFrame embeds node i's closed one-hop neighborhood from measured
-// distances.
-func buildFrame(tab *NodeTable, cfg Config, i int) (frame, error) {
-	members := closedNeighborhood(tab, i)
+// distances, appending the members to members and writing the coordinates
+// into coords, which must have room for exactly the neighborhood.
+func buildFrame(tab *NodeTable, cfg Config, i int, members []int, coords []geom.Vec3, fs *frameScratch) (frame, error) {
+	members = closedNeighborhood(members, tab, i)
+	n := len(members)
+	fs.gatherMeas(tab, members)
 	dist := func(a, b int) (float64, bool) {
-		return tab.MeasLookup(members[a], members[b])
+		return fs.meas[a*n+b], fs.has[a*n+b]
 	}
-	coords, err := mds.Localize(len(members), dist, cfg.MDS)
+	coords, err := fs.mds.Localize(coords, n, dist, cfg.MDS)
 	if err != nil {
 		return frame{}, err
-	}
-	index := make(map[int]int, len(members))
-	for k, m := range members {
-		index[m] = k
 	}
 	return frame{
 		members:  members,
 		coords:   coords,
-		index:    index,
 		residual: mds.ResidualRMS(coords, dist),
 	}, nil
+}
+
+// gatherMeas fills the measured-distance table of a frame's members (the
+// node, then its ascending neighbors) by merging each member's ascending
+// adjacency row against the members in ascending ID order. Entry a*n+b
+// then holds tab.MeasLookup(members[a], members[b]) for a ≠ b — the
+// measurement of that arc — which the direct lookup would find by one
+// binary search per pair and query.
+func (fs *frameScratch) gatherMeas(tab *NodeTable, members []int) {
+	n := len(members)
+	fs.meas = grow(fs.meas, n*n)
+	fs.has = grow(fs.has, n*n)
+	clear(fs.has)
+	// The neighbors are ascending; the node itself slots in before the
+	// first larger one.
+	p := 1
+	for p < n && members[p] < members[0] {
+		p++
+	}
+	sorted := fs.sorted[:0]
+	for k := 1; k < p; k++ {
+		sorted = append(sorted, k)
+	}
+	sorted = append(sorted, 0)
+	for k := p; k < n; k++ {
+		sorted = append(sorted, k)
+	}
+	fs.sorted = sorted
+	for a, m := range members {
+		row, meas := tab.Neighbors(m), tab.MeasRow(m)
+		if meas == nil {
+			continue
+		}
+		for r, k := 0, 0; r < len(row) && k < n; {
+			switch u, b := int(row[r]), sorted[k]; {
+			case u < members[b]:
+				r++
+			case u > members[b]:
+				k++
+			default:
+				fs.meas[a*n+b], fs.has[a*n+b] = meas[r], true
+				r++
+				k++
+			}
+		}
+	}
+}
+
+// grow returns buf resliced to length n, reallocating only when its
+// capacity is short. The contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // assembleScratch holds one worker's reusable buffers for per-node
@@ -678,6 +758,7 @@ type assembleScratch struct {
 	bucket []int32
 	estBuf []geom.Vec3
 	d2     []float64
+	pair   []float64 // medoid's pairwise distances
 	src    []geom.Vec3
 	dst    []geom.Vec3
 }
@@ -894,7 +975,7 @@ func stitchTwoHop(tab *NodeTable, cfg Config, frames []frame, i int, as *assembl
 		// correct-majority cluster plus flipped outliers; the medoid
 		// snaps to the majority (repairing the position), whereas a
 		// centroid would land uselessly in between.
-		center := medoid(bucket)
+		center := medoid(bucket, &as.pair)
 		coords[s] = center
 		spreads[s] = clusterSpread(bucket, center, own.residual, &as.d2)
 	}
@@ -904,16 +985,28 @@ func stitchTwoHop(tab *NodeTable, cfg Config, frames []frame, i int, as *assembl
 
 // medoid returns the estimate minimizing the total distance to the others.
 // Ties break toward the earliest estimate (the own-frame one for one-hop
-// members), keeping fusion deterministic.
-func medoid(ests []geom.Vec3) geom.Vec3 {
-	if len(ests) == 1 {
+// members), keeping fusion deterministic. Each pairwise distance is
+// computed once into buf — Dist is bitwise symmetric — and each row is
+// summed in index order, so the sums are bit for bit those of a direct
+// all-pairs loop.
+func medoid(ests []geom.Vec3, buf *[]float64) geom.Vec3 {
+	m := len(ests)
+	if m == 1 {
 		return ests[0]
 	}
+	*buf = grow(*buf, m*m)
+	d := *buf
+	for i := 0; i < m; i++ {
+		for j := i; j < m; j++ {
+			v := ests[i].Dist(ests[j])
+			d[i*m+j], d[j*m+i] = v, v
+		}
+	}
 	best, bestSum := 0, math.Inf(1)
-	for i := range ests {
+	for i := 0; i < m; i++ {
 		var sum float64
-		for j := range ests {
-			sum += ests[i].Dist(ests[j])
+		for _, v := range d[i*m : (i+1)*m] {
+			sum += v
 		}
 		if sum < bestSum {
 			best, bestSum = i, sum
@@ -961,14 +1054,12 @@ func clusterSpread(ests []geom.Vec3, center geom.Vec3, fallback float64, buf *[]
 	return math.Sqrt(sum / float64(keep-1))
 }
 
-// closedNeighborhood returns node i followed by its one-hop neighbors —
-// the set Γ_i of Algorithm 1.
-func closedNeighborhood(tab *NodeTable, i int) []int {
-	nbrs := tab.Neighbors(i)
-	members := make([]int, 0, len(nbrs)+1)
-	members = append(members, i)
-	for _, v := range nbrs {
-		members = append(members, int(v))
+// closedNeighborhood appends node i followed by its one-hop neighbors —
+// the set Γ_i of Algorithm 1 — to dst.
+func closedNeighborhood(dst []int, tab *NodeTable, i int) []int {
+	dst = append(dst, i)
+	for _, v := range tab.Neighbors(i) {
+		dst = append(dst, int(v))
 	}
-	return members
+	return dst
 }

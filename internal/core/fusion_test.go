@@ -19,18 +19,52 @@ func TestMedoid(t *testing.T) {
 		geom.V(0, 0, 0.02),
 		geom.V(5, 5, 5), // flipped outlier
 	}
-	m := medoid(ests)
+	var buf []float64
+	m := medoid(ests, &buf)
 	if m.Norm() > 0.1 {
 		t.Errorf("medoid picked the outlier: %v", m)
 	}
 	// Single estimate: returned verbatim.
-	if got := medoid([]geom.Vec3{geom.V(1, 2, 3)}); got != geom.V(1, 2, 3) {
+	if got := medoid([]geom.Vec3{geom.V(1, 2, 3)}, &buf); got != geom.V(1, 2, 3) {
 		t.Errorf("single-estimate medoid = %v", got)
 	}
 	// Ties break toward the earliest estimate.
 	tie := []geom.Vec3{geom.V(1, 0, 0), geom.V(1, 0, 0)}
-	if got := medoid(tie); got != tie[0] {
+	if got := medoid(tie, &buf); got != tie[0] {
 		t.Errorf("tie medoid = %v", got)
+	}
+}
+
+// TestMedoidMatchesAllPairs: computing each pairwise distance once into a
+// reused buffer picks the same estimate as summing Dist over all ordered
+// pairs, as fusion did before, ties included.
+func TestMedoidMatchesAllPairs(t *testing.T) {
+	allPairs := func(ests []geom.Vec3) geom.Vec3 {
+		best, bestSum := 0, math.Inf(1)
+		for i := range ests {
+			var sum float64
+			for j := range ests {
+				sum += ests[i].Dist(ests[j])
+			}
+			if sum < bestSum {
+				best, bestSum = i, sum
+			}
+		}
+		return ests[best]
+	}
+	rng := rand.New(rand.NewSource(43))
+	var buf []float64
+	for trial := 0; trial < 2000; trial++ {
+		ests := make([]geom.Vec3, 1+rng.Intn(12))
+		for i := range ests {
+			ests[i] = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+			if i > 0 && rng.Intn(4) == 0 {
+				ests[i] = ests[rng.Intn(i)] // duplicates force tied sums
+			}
+		}
+		if got, want := medoid(ests, &buf), allPairs(ests); got != want {
+			t.Fatalf("trial %d: medoid %v, all-pairs %v", trial, got, want)
+		}
 	}
 }
 
@@ -274,5 +308,35 @@ func TestDetectFaultsBelowBudgetEqualsFaultFree(t *testing.T) {
 	}
 	if clean.FaultStats != (sim.FaultStats{}) {
 		t.Errorf("fault-free run reports fault activity: %+v", clean.FaultStats)
+	}
+}
+
+// TestGatherMeasMatchesMeasLookup: the merged frame-distance table holds,
+// for every ordered pair of a closed neighborhood's members, exactly what
+// MeasLookup returns for that arc. Every arc carries a distinct value, so
+// a pair read in the wrong direction or from the wrong row shows.
+func TestGatherMeasMatchesMeasLookup(t *testing.T) {
+	net, _ := fixtures(t)
+	tab := NewNodeTable(net, net.Measure(ranging.ForFraction(0.2), 3))
+	for k := range tab.Meas {
+		tab.Meas[k] = float64(k) + 0.5
+	}
+	var fs frameScratch
+	var members []int
+	for i := 0; i < tab.Len(); i++ {
+		members = closedNeighborhood(members[:0], tab, i)
+		fs.gatherMeas(tab, members)
+		n := len(members)
+		for a := range members {
+			for b := range members {
+				if a == b {
+					continue
+				}
+				want, wantOK := tab.MeasLookup(members[a], members[b])
+				if got, ok := fs.meas[a*n+b], fs.has[a*n+b]; ok != wantOK || (ok && got != want) {
+					t.Fatalf("node %d pair (%d, %d): table (%v, %v), MeasLookup (%v, %v)", i, members[a], members[b], got, ok, want, wantOK)
+				}
+			}
+		}
 	}
 }

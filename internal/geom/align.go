@@ -67,25 +67,17 @@ func AlignRigid(a, b []Vec3) (RigidTransform, float64, error) {
 		}
 	}
 
-	best, err := hornRotation(s)
+	best, reflected, reflOK, err := hornRotations(s)
 	if err != nil {
 		return RigidTransform{}, 0, err
 	}
 
-	// Try the reflected solution too and keep whichever fits better: MDS
-	// output has an arbitrary handedness, so a pure rotation may be the
-	// wrong mirror image.
-	var sNeg [3][3]float64
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			sNeg[r][c] = -s[r][c]
-		}
-	}
-	reflected, errR := hornRotation(sNeg)
-
+	// Keep the reflected solution if it fits better: MDS output has an
+	// arbitrary handedness, so a pure rotation may be the wrong mirror
+	// image.
 	t := RigidTransform{R: best, CentroidA: ca, CentroidB: cb}
 	rmsd := alignRMSD(t, a, b)
-	if errR == nil {
+	if reflOK {
 		// Compose the mirror (negate source) with the reflected-fit
 		// rotation: R' maps -x onto b, so R'' = R'·(-I).
 		var rr [3][3]float64
@@ -110,31 +102,60 @@ func alignRMSD(t RigidTransform, a, b []Vec3) float64 {
 	return math.Sqrt(sum / float64(len(a)))
 }
 
+// hornRotations returns hornRotation(s) and hornRotation(−s), bit for
+// bit, from one eigensolve where it can: Horn's matrix for −s is exactly
+// −N, whose top eigenvector is N's bottom one whenever the solve is odd
+// (symmetricEigen4). Otherwise −s is solved on its own; reflOK is false
+// when that solve fails.
+func hornRotations(s [3][3]float64) (rot, refl [3][3]float64, reflOK bool, err error) {
+	n := hornMatrix(s)
+	top, bottom, haveBottom, ok := symmetricEigen4(&n)
+	if !ok {
+		return rot, refl, false, ErrNoConvergence
+	}
+	if haveBottom {
+		return quaternionRotation(top), quaternionRotation(bottom), true, nil
+	}
+	var sNeg [3][3]float64
+	for r := 0; r < 3; r++ {
+		for c := 0; c < 3; c++ {
+			sNeg[r][c] = -s[r][c]
+		}
+	}
+	refl, errR := hornRotation(sNeg)
+	return quaternionRotation(top), refl, errR == nil, nil
+}
+
 // hornRotation returns the rotation maximizing trace(R·S) via the largest
 // eigenvector of Horn's symmetric 4x4 quaternion matrix.
 func hornRotation(s [3][3]float64) ([3][3]float64, error) {
-	n := [4][4]float64{
+	n := hornMatrix(s)
+	q, _, _, ok := symmetricEigen4(&n)
+	if !ok {
+		return [3][3]float64{}, ErrNoConvergence
+	}
+	return quaternionRotation(q), nil
+}
+
+// hornMatrix is Horn's symmetric 4x4 quaternion matrix of the
+// cross-covariance s. Every entry is a signed sum of s's entries, so
+// hornMatrix(−s) is exactly −hornMatrix(s).
+func hornMatrix(s [3][3]float64) [4][4]float64 {
+	return [4][4]float64{
 		{s[0][0] + s[1][1] + s[2][2], s[1][2] - s[2][1], s[2][0] - s[0][2], s[0][1] - s[1][0]},
 		{s[1][2] - s[2][1], s[0][0] - s[1][1] - s[2][2], s[0][1] + s[1][0], s[2][0] + s[0][2]},
 		{s[2][0] - s[0][2], s[0][1] + s[1][0], -s[0][0] + s[1][1] - s[2][2], s[1][2] + s[2][1]},
 		{s[0][1] - s[1][0], s[2][0] + s[0][2], s[1][2] + s[2][1], -s[0][0] - s[1][1] + s[2][2]},
 	}
-	q, ok := symmetricEigenTop4(&n)
-	if !ok {
-		// QL failed to converge — route through the general engine, whose
-		// Jacobi fallback covers this case.
-		rows := [][]float64{n[0][:], n[1][:], n[2][:], n[3][:]}
-		_, vecs, err := SymmetricEigen(rows)
-		if err != nil {
-			return [3][3]float64{}, err
-		}
-		copy(q[:], vecs[0])
-	}
-	// q is the quaternion (w, x, y, z) for the largest eigenvalue.
+}
+
+// quaternionRotation is the rotation matrix of the unit quaternion
+// q = (w, x, y, z). It is even in q, so q and −q give the same bits.
+func quaternionRotation(q [4]float64) [3][3]float64 {
 	w, x, y, z := q[0], q[1], q[2], q[3]
 	return [3][3]float64{
 		{w*w + x*x - y*y - z*z, 2 * (x*y - w*z), 2 * (x*z + w*y)},
 		{2 * (x*y + w*z), w*w - x*x + y*y - z*z, 2 * (y*z - w*x)},
 		{2 * (x*z - w*y), 2 * (y*z + w*x), w*w - x*x - y*y + z*z},
-	}, nil
+	}
 }

@@ -175,3 +175,83 @@ func TestAlignRigidAllocsZero(t *testing.T) {
 		t.Errorf("AlignRigid allocates %v objects per call, want 0", allocs)
 	}
 }
+
+// TestHornRotationsMatchTwoSolves: the one-eigensolve registration
+// (hornRotations) returns bit for bit the rotations of two separate Horn
+// solves, hornRotation(S) and hornRotation(−S), on inputs built to hit the
+// exact zeros where the solve stops being odd in its input: every
+// {−1,0,1}³ˣ³ matrix, small integer and half-integer matrices, planar,
+// rank-1, symmetric and antisymmetric ones, and generic Gaussian matrices —
+// all of which must take the one-solve path.
+func TestHornRotationsMatchTwoSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var oneSolve, total int
+	check := func(kind string, s [3][3]float64, mustOneSolve bool) {
+		t.Helper()
+		total++
+		n := hornMatrix(s)
+		_, _, one, _ := symmetricEigen4(&n)
+		if one {
+			oneSolve++
+		} else if mustOneSolve {
+			t.Fatalf("%s %v: generic input took the two-solve path", kind, s)
+		}
+		rot, refl, reflOK, err := hornRotations(s)
+		wantRot, wantErr := hornRotation(s)
+		var sNeg [3][3]float64
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				sNeg[r][c] = -s[r][c]
+			}
+		}
+		wantRefl, wantErrR := hornRotation(sNeg)
+		if (err != nil) != (wantErr != nil) || reflOK != (wantErrR == nil) {
+			t.Fatalf("%s %v: error %v, reflected ok %v; two solves (%v, %v)", kind, s, err, reflOK, wantErr, wantErrR)
+		}
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				if math.Float64bits(rot[r][c]) != math.Float64bits(wantRot[r][c]) {
+					t.Fatalf("%s %v (one solve %v): rotation[%d][%d] = %v, two solves %v", kind, s, one, r, c, rot[r][c], wantRot[r][c])
+				}
+				if math.Float64bits(refl[r][c]) != math.Float64bits(wantRefl[r][c]) {
+					t.Fatalf("%s %v (one solve %v): reflected[%d][%d] = %v, two solves %v", kind, s, one, r, c, refl[r][c], wantRefl[r][c])
+				}
+			}
+		}
+	}
+	fill := func(f func(r, c int) float64) (s [3][3]float64) {
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				s[r][c] = f(r, c)
+			}
+		}
+		return s
+	}
+
+	for code := 0; code < 19683; code++ { // 3^9
+		k := code
+		check("ternary", fill(func(int, int) float64 { v := float64(k%3 - 1); k /= 3; return v }), false)
+	}
+	for i := 0; i < 50000; i++ {
+		check("integer", fill(func(int, int) float64 { return float64(rng.Intn(7) - 3) }), false)
+		check("half-integer", fill(func(int, int) float64 { return float64(rng.Intn(13)-6) / 2 }), false)
+	}
+	for i := 0; i < 10000; i++ {
+		check("planar", fill(func(r, c int) float64 {
+			if r == 2 || c == 2 {
+				return 0
+			}
+			return rng.NormFloat64()
+		}), false)
+		u := [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		v := [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		check("rank-1", fill(func(r, c int) float64 { return u[r] * v[c] }), false)
+		g := fill(func(int, int) float64 { return rng.NormFloat64() })
+		check("symmetric", fill(func(r, c int) float64 { return g[r][c] + g[c][r] }), false)
+		check("antisymmetric", fill(func(r, c int) float64 { return g[r][c] - g[c][r] }), false)
+	}
+	for i := 0; i < 50000; i++ {
+		check("generic", fill(func(int, int) float64 { return rng.NormFloat64() }), true)
+	}
+	t.Logf("%d of %d inputs took the one-solve path", oneSolve, total)
+}

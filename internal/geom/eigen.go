@@ -3,7 +3,6 @@ package geom
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrNotSymmetric is returned by SymmetricEigen when the input matrix is not
@@ -27,15 +26,31 @@ var ErrNoConvergence = errors.New("geom: eigendecomposition did not converge")
 //
 // The engine is Householder tridiagonalization followed by implicit-shift
 // QL (the EISPACK tred2/tql2 pair): O(n³) with a small constant and exact
-// convergence behavior, several-fold fewer floating-point operations than
-// the cyclic Jacobi method it replaced. Jacobi is retained as
-// symmetricEigenJacobi — the fallback on the (never observed) chance QL
-// fails to converge, and the independent oracle the cross-check tests
-// compare against.
+// convergence behavior. A QL sweep that does not converge returns
+// ErrNoConvergence.
 //
 // The input is not modified. Intended for the small matrices that arise in
 // local-neighborhood MDS (tens of rows), not for large-scale linear algebra.
+// SymmetricEigen is EigenScratch.SymmetricEigen on a fresh scratch.
 func SymmetricEigen(a [][]float64) (values []float64, vecs [][]float64, err error) {
+	var s EigenScratch
+	return s.SymmetricEigen(a)
+}
+
+// EigenScratch is SymmetricEigen's working storage, reusable across calls
+// of any size, so a caller that decomposes one small matrix per node
+// allocates only when a matrix outgrows every earlier one. The zero value
+// is ready to use. A scratch must not be shared between goroutines.
+type EigenScratch struct {
+	z, d, e, values, backing []float64
+	idx                      []int
+	vecs                     [][]float64
+}
+
+// SymmetricEigen is the package-level SymmetricEigen computed in s's
+// storage, bit for bit: values, vectors and their order. The returned
+// slices alias s and are valid until the next call on s.
+func (s *EigenScratch) SymmetricEigen(a [][]float64) (values []float64, vecs [][]float64, err error) {
 	n := len(a)
 	if err := checkSymmetric(a); err != nil {
 		return nil, nil, err
@@ -44,75 +59,109 @@ func SymmetricEigen(a [][]float64) (values []float64, vecs [][]float64, err erro
 		return nil, nil, nil
 	}
 
-	// Row-major working matrix; tred2 accumulates the Householder
+	// Column-major working matrix; tred2 accumulates the Householder
 	// transformations in place and tql2 rotates them into eigenvectors
-	// (stored as columns).
-	z := make([]float64, n*n)
+	// (contiguous columns).
+	s.z = grow(s.z, n*n)
+	s.d = grow(s.d, n)
+	s.e = grow(s.e, n)
+	z, d, e := s.z, s.d, s.e
 	for i, row := range a {
-		copy(z[i*n:(i+1)*n], row)
+		for j, v := range row {
+			z[j*n+i] = v
+		}
 	}
-	d := make([]float64, n)
-	e := make([]float64, n)
 	tred2(z, d, e, n)
-	if tql2(z, d, e, n) != nil {
-		return symmetricEigenJacobi(a)
+	if err := tql2(z, d, e, n); err != nil {
+		return nil, nil, err
 	}
 
 	// Sort eigenpairs by descending eigenvalue. Column indices are carried
-	// through the sort so each output vector is one gather from z.
-	idx := make([]int, n)
+	// through the sort so each output vector is one copy from z. The
+	// insertion sort moves an index left only past a strictly smaller
+	// eigenvalue, so it is stable: for eigenvalues that are not NaN it
+	// yields exactly the permutation sort.SliceStable yields, without its
+	// allocations.
+	s.idx = grow(s.idx, n)
+	idx := s.idx
 	for i := range idx {
 		idx[i] = i
+		for j := i; j > 0 && d[idx[j]] > d[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return d[idx[i]] > d[idx[j]] })
 
-	values = make([]float64, n)
-	backing := make([]float64, n*n)
-	vecs = make([][]float64, n)
+	s.values = grow(s.values, n)
+	s.backing = grow(s.backing, n*n)
+	s.vecs = grow(s.vecs, n)
+	values, vecs = s.values, s.vecs
 	for k, col := range idx {
 		values[k] = d[col]
-		vec := backing[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			vec[i] = z[i*n+col]
-		}
-		vecs[k] = vec
+		vecs[k] = s.backing[k*n : (k+1)*n]
+		copy(vecs[k], z[col*n:(col+1)*n])
 	}
 	return values, vecs, nil
 }
 
-// symmetricEigenTop4 returns the unit eigenvector for the largest eigenvalue
-// of the symmetric 4×4 matrix a — the only output Horn quaternion alignment
-// needs — running the same tred2/tql2 recurrences on fixed-size stack
-// storage. AlignRigid calls this twice per registered frame pair, so the
-// heap-allocating general path was the single largest allocation source in
-// two-hop stitching. Results are bit-identical to SymmetricEigen's leading
-// eigenvector: identical recurrences on identical storage order, and the
-// max-scan below breaks ties toward the lowest column index exactly as the
-// stable descending sort does. ok is false on the (never observed) QL
-// convergence failure; callers fall back to the general path.
-func symmetricEigenTop4(a *[4][4]float64) (vec [4]float64, ok bool) {
+// grow returns buf resliced to length n, reallocating only when its
+// capacity is short. The contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// symmetricEigen4 diagonalizes the symmetric 4×4 matrix a with the same
+// tred2/tql2 recurrences on fixed-size stack storage and returns the unit
+// eigenvector of its largest eigenvalue (top) — the only output Horn
+// quaternion alignment needs. top is bit-identical to SymmetricEigen's
+// leading eigenvector: identical recurrences on identical storage order,
+// and the max-scan breaks ties toward the lowest index exactly as the
+// stable descending sort does. ok is false when QL does not converge.
+//
+// The same run also serves −a. Negating a negates tred2's diagonal and
+// subdiagonal and leaves its Householder norms and reflectors unchanged;
+// tql2's shifts and rotations carry the negation through, flipping at most
+// an eigenvector's sign. So the run on −a returns −d and the same
+// eigenvectors up to sign, bit for bit, except where an exact zero meets a
+// sign-dependent step: a tred2 pivot f picks its reflector's sign by
+// f > 0, and a zero in a, in d or in e[1:] can carry a signed zero into a
+// later rounding. When none of these is zero, bottom (haveBottom) is the
+// eigenvector of a's smallest eigenvalue, lowest index on ties: the top
+// eigenvector the run on −a returns, up to a sign a quaternion's rotation
+// does not see (TestHornRotationsMatchTwoSolves pins this). Otherwise
+// callers solve −a separately.
+func symmetricEigen4(a *[4][4]float64) (top, bottom [4]float64, haveBottom, ok bool) {
 	var zb [16]float64
 	var db, eb [4]float64
 	z, d, e := zb[:], db[:], eb[:]
+	odd := true
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			z[i*4+j] = a[i][j]
+			z[j*4+i] = a[i][j]
+			odd = odd && a[i][j] != 0
 		}
 	}
-	tred2(z, d, e, 4)
-	if tql2(z, d, e, 4) != nil {
-		return vec, false
-	}
-	best := 0
-	for i := 1; i < 4; i++ {
-		if d[i] > d[best] {
-			best = i
-		}
-	}
+	odd = !tred2(z, d, e, 4) && odd
 	for i := 0; i < 4; i++ {
-		vec[i] = z[i*4+best]
+		odd = odd && d[i] != 0 && (i == 0 || e[i] != 0)
 	}
-	return vec, true
+	if tql2(z, d, e, 4) != nil {
+		return top, bottom, false, false
+	}
+	hi, lo := 0, 0
+	for i := 1; i < 4; i++ {
+		if d[i] > d[hi] {
+			hi = i
+		}
+		if d[i] < d[lo] {
+			lo = i
+		}
+	}
+	copy(top[:], z[hi*4:])
+	copy(bottom[:], z[lo*4:])
+	return top, bottom, odd, true
 }
 
 func checkSymmetric(a [][]float64) error {
@@ -132,13 +181,17 @@ func checkSymmetric(a [][]float64) error {
 	return nil
 }
 
-// tred2 reduces the symmetric matrix in z (row-major, n×n) to tridiagonal
-// form by Householder similarity transformations, accumulating the
-// transformations in z. On return d holds the diagonal and e[1..n-1] the
-// subdiagonal (e[0] = 0). This is the standard EISPACK tred2 recurrence.
-func tred2(z, d, e []float64, n int) {
+// tred2 reduces the symmetric matrix in z to tridiagonal form by
+// Householder similarity transformations, accumulating the transformations
+// in z. On return d holds the diagonal and e[1..n-1] the subdiagonal
+// (e[0] = 0). This is the standard EISPACK tred2 recurrence, on z stored
+// column-major (z[j*n+i] is entry (i, j)): the EISPACK loops walk columns,
+// so their inner loops run over contiguous storage. zeroPivot reports
+// whether some Householder pivot f was exactly zero, the one branch of the
+// recurrence that is not odd in its input.
+func tred2(z, d, e []float64, n int) (zeroPivot bool) {
 	for j := 0; j < n; j++ {
-		d[j] = z[(n-1)*n+j]
+		d[j] = z[j*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		// Scale to avoid under/overflow, then build the Householder
@@ -150,9 +203,9 @@ func tred2(z, d, e []float64, n int) {
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := 0; j < i; j++ {
-				d[j] = z[(i-1)*n+j]
-				z[i*n+j] = 0
+				d[j] = z[j*n+i-1]
 				z[j*n+i] = 0
+				z[i*n+j] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -160,6 +213,7 @@ func tred2(z, d, e []float64, n int) {
 				h += d[k] * d[k]
 			}
 			f := d[i-1]
+			zeroPivot = zeroPivot || f == 0
 			g := math.Sqrt(h)
 			if f > 0 {
 				g = -g
@@ -174,11 +228,12 @@ func tred2(z, d, e []float64, n int) {
 			// leading submatrix.
 			for j := 0; j < i; j++ {
 				f = d[j]
-				z[j*n+i] = f
-				g = e[j] + z[j*n+j]*f
+				z[i*n+j] = f
+				zj := z[j*n : j*n+i]
+				g = e[j] + zj[j]*f
 				for k := j + 1; k <= i-1; k++ {
-					g += z[k*n+j] * d[k]
-					e[k] += z[k*n+j] * f
+					g += zj[k] * d[k]
+					e[k] += zj[k] * f
 				}
 				e[j] = g
 			}
@@ -194,51 +249,54 @@ func tred2(z, d, e []float64, n int) {
 			for j := 0; j < i; j++ {
 				f = d[j]
 				g = e[j]
+				zj := z[j*n : j*n+i]
 				for k := j; k <= i-1; k++ {
-					z[k*n+j] -= f*e[k] + g*d[k]
+					zj[k] -= f*e[k] + g*d[k]
 				}
-				d[j] = z[(i-1)*n+j]
-				z[i*n+j] = 0
+				d[j] = zj[i-1]
+				z[j*n+i] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate the transformations.
 	for i := 0; i < n-1; i++ {
-		z[(n-1)*n+i] = z[i*n+i]
+		z[i*n+n-1] = z[i*n+i]
 		z[i*n+i] = 1
 		h := d[i+1]
+		zi1 := z[(i+1)*n : (i+1)*n+i+1]
 		if h != 0 {
-			for k := 0; k <= i; k++ {
-				d[k] = z[k*n+i+1] / h
+			for k, v := range zi1 {
+				d[k] = v / h
 			}
 			for j := 0; j <= i; j++ {
+				zj := z[j*n : j*n+i+1]
 				g := 0.0
-				for k := 0; k <= i; k++ {
-					g += z[k*n+i+1] * z[k*n+j]
+				for k, v := range zi1 {
+					g += v * zj[k]
 				}
-				for k := 0; k <= i; k++ {
-					z[k*n+j] -= g * d[k]
+				for k := range zj {
+					zj[k] -= g * d[k]
 				}
 			}
 		}
-		for k := 0; k <= i; k++ {
-			z[k*n+i+1] = 0
-		}
+		clear(zi1)
 	}
 	for j := 0; j < n; j++ {
-		d[j] = z[(n-1)*n+j]
-		z[(n-1)*n+j] = 0
+		d[j] = z[j*n+n-1]
+		z[j*n+n-1] = 0
 	}
 	z[(n-1)*n+n-1] = 1
 	e[0] = 0
+	return zeroPivot
 }
 
 // tql2 diagonalizes the tridiagonal matrix (d, e) with the implicit-shift
-// QL algorithm, rotating the accumulated transformations in z into the
-// eigenvector columns. The EISPACK tql2 recurrence; returns
-// ErrNoConvergence if any eigenvalue needs more than 50 QL sweeps (for
-// tridiagonal symmetric matrices 4–5 is typical).
+// QL algorithm, rotating the accumulated transformations in z (column-major,
+// as tred2 leaves them) into the eigenvectors: on return column k —
+// z[k*n:(k+1)*n] — is the unit eigenvector for d[k]. The EISPACK tql2
+// recurrence; returns ErrNoConvergence if any eigenvalue needs more than 50
+// QL sweeps (for tridiagonal symmetric matrices 4–5 is typical).
 func tql2(z, d, e []float64, n int) error {
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -293,10 +351,11 @@ func tql2(z, d, e []float64, n int) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					for k := 0; k < n; k++ {
-						h = z[k*n+i+1]
-						z[k*n+i+1] = s*z[k*n+i] + c*h
-						z[k*n+i] = c*z[k*n+i] - s*h
+					zi, zi1 := z[i*n:(i+1)*n], z[(i+1)*n:(i+2)*n]
+					zi = zi[:len(zi1)]
+					for k, h := range zi1 {
+						zi1[k] = s*zi[k] + c*h
+						zi[k] = c*zi[k] - s*h
 					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
@@ -311,113 +370,4 @@ func tql2(z, d, e []float64, n int) error {
 		e[l] = 0
 	}
 	return nil
-}
-
-// symmetricEigenJacobi is the cyclic Jacobi engine SymmetricEigen used
-// before the tred2/tql2 rewrite, kept verbatim as the convergence fallback
-// and as an independent oracle for the cross-check tests (Jacobi's
-// all-pairs rotations share no code path with the QL iteration).
-func symmetricEigenJacobi(a [][]float64) (values []float64, vecs [][]float64, err error) {
-	n := len(a)
-	if err := checkSymmetric(a); err != nil {
-		return nil, nil, err
-	}
-	if n == 0 {
-		return nil, nil, nil
-	}
-
-	// Working copy m and accumulated rotations v (v starts as identity).
-	m := make([][]float64, n)
-	v := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		m[i] = append([]float64(nil), a[i]...)
-		v[i] = make([]float64, n)
-		v[i][i] = 1
-	}
-
-	offDiag := func() float64 {
-		var s float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				s += m[i][j] * m[i][j]
-			}
-		}
-		return s
-	}
-	var frob float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			frob += m[i][j] * m[i][j]
-		}
-	}
-	tol := 1e-22 * (frob + 1)
-
-	const maxSweeps = 100
-	converged := false
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		if offDiag() <= tol {
-			converged = true
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := m[p][q]
-				if apq == 0 {
-					continue
-				}
-				// Classic Jacobi rotation zeroing m[p][q].
-				theta := (m[q][q] - m[p][p]) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-
-				for k := 0; k < n; k++ {
-					mkp, mkq := m[k][p], m[k][q]
-					m[k][p] = c*mkp - s*mkq
-					m[k][q] = s*mkp + c*mkq
-				}
-				for k := 0; k < n; k++ {
-					mpk, mqk := m[p][k], m[q][k]
-					m[p][k] = c*mpk - s*mqk
-					m[q][k] = s*mpk + c*mqk
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v[k][p], v[k][q]
-					v[k][p] = c*vkp - s*vkq
-					v[k][q] = s*vkp + c*vkq
-				}
-			}
-		}
-	}
-	if !converged && offDiag() > tol {
-		return nil, nil, ErrNoConvergence
-	}
-
-	// Extract eigenpairs and sort by descending eigenvalue.
-	type pair struct {
-		val float64
-		col int
-	}
-	pairs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = pair{val: m[i][i], col: i}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
-
-	values = make([]float64, n)
-	vecs = make([][]float64, n)
-	for k, p := range pairs {
-		values[k] = p.val
-		vec := make([]float64, n)
-		for i := 0; i < n; i++ {
-			vec[i] = v[i][p.col]
-		}
-		vecs[k] = vec
-	}
-	return values, vecs, nil
 }

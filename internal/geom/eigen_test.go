@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -206,7 +207,7 @@ func TestSymmetricEigenTop4MatchesGeneral(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			copy(a[i][:], m[i])
 		}
-		vec, ok := symmetricEigenTop4(&a)
+		vec, _, _, ok := symmetricEigen4(&a)
 		if !ok {
 			t.Fatalf("trial %d: QL failed to converge", trial)
 		}
@@ -231,12 +232,12 @@ func TestSymmetricEigenTop4AllocsZero(t *testing.T) {
 		{0, 0, 1, 1},
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := symmetricEigenTop4(&a); !ok {
+		if _, _, _, ok := symmetricEigen4(&a); !ok {
 			t.Fatal("did not converge")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("symmetricEigenTop4 allocates %v objects per call, want 0", allocs)
+		t.Errorf("symmetricEigen4 allocates %v objects per call, want 0", allocs)
 	}
 }
 
@@ -247,5 +248,235 @@ func TestSymmetricEigenInputNotModified(t *testing.T) {
 	}
 	if a[0][0] != 2 || a[0][1] != 1 || a[1][0] != 1 || a[1][1] != 2 {
 		t.Errorf("input modified: %v", a)
+	}
+}
+
+// symmetricEigenJacobi is the cyclic Jacobi engine SymmetricEigen used
+// before the tred2/tql2 rewrite, kept verbatim as the independent oracle
+// for the cross-check tests (Jacobi's all-pairs rotations share no code
+// path with the QL iteration).
+func symmetricEigenJacobi(a [][]float64) (values []float64, vecs [][]float64, err error) {
+	n := len(a)
+	if err := checkSymmetric(a); err != nil {
+		return nil, nil, err
+	}
+	if n == 0 {
+		return nil, nil, nil
+	}
+
+	// Working copy m and accumulated rotations v (v starts as identity).
+	m := make([][]float64, n)
+	v := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		m[i] = append([]float64(nil), a[i]...)
+		v[i] = make([]float64, n)
+		v[i][i] = 1
+	}
+
+	offDiag := func() float64 {
+		var s float64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				s += m[i][j] * m[i][j]
+			}
+		}
+		return s
+	}
+	var frob float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			frob += m[i][j] * m[i][j]
+		}
+	}
+	tol := 1e-22 * (frob + 1)
+
+	const maxSweeps = 100
+	converged := false
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		if offDiag() <= tol {
+			converged = true
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := m[p][q]
+				if apq == 0 {
+					continue
+				}
+				// Classic Jacobi rotation zeroing m[p][q].
+				theta := (m[q][q] - m[p][p]) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(1+theta*theta))
+				} else {
+					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+				}
+				c := 1 / math.Sqrt(1+t*t)
+				s := t * c
+
+				for k := 0; k < n; k++ {
+					mkp, mkq := m[k][p], m[k][q]
+					m[k][p] = c*mkp - s*mkq
+					m[k][q] = s*mkp + c*mkq
+				}
+				for k := 0; k < n; k++ {
+					mpk, mqk := m[p][k], m[q][k]
+					m[p][k] = c*mpk - s*mqk
+					m[q][k] = s*mpk + c*mqk
+				}
+				for k := 0; k < n; k++ {
+					vkp, vkq := v[k][p], v[k][q]
+					v[k][p] = c*vkp - s*vkq
+					v[k][q] = s*vkp + c*vkq
+				}
+			}
+		}
+	}
+	if !converged && offDiag() > tol {
+		return nil, nil, ErrNoConvergence
+	}
+
+	// Extract eigenpairs and sort by descending eigenvalue.
+	type pair struct {
+		val float64
+		col int
+	}
+	pairs := make([]pair, n)
+	for i := 0; i < n; i++ {
+		pairs[i] = pair{val: m[i][i], col: i}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
+
+	values = make([]float64, n)
+	vecs = make([][]float64, n)
+	for k, p := range pairs {
+		values[k] = p.val
+		vec := make([]float64, n)
+		for i := 0; i < n; i++ {
+			vec[i] = v[i][p.col]
+		}
+		vecs[k] = vec
+	}
+	return values, vecs, nil
+}
+
+// symmetricEigenSliceStable is SymmetricEigen as it was before
+// EigenScratch: fresh storage per call and sort.SliceStable for the
+// descending order. It is the oracle for the scratch's in-place sort.
+func symmetricEigenSliceStable(a [][]float64) ([]float64, [][]float64, error) {
+	n := len(a)
+	z := make([]float64, n*n)
+	for i, row := range a {
+		for j, v := range row {
+			z[j*n+i] = v
+		}
+	}
+	d := make([]float64, n)
+	e := make([]float64, n)
+	tred2(z, d, e, n)
+	if err := tql2(z, d, e, n); err != nil {
+		return nil, nil, err
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return d[idx[i]] > d[idx[j]] })
+	values := make([]float64, n)
+	vecs := make([][]float64, n)
+	for k, col := range idx {
+		values[k] = d[col]
+		vecs[k] = append([]float64(nil), z[col*n:(col+1)*n]...)
+	}
+	return values, vecs, nil
+}
+
+// TestEigenScratchMatchesSymmetricEigen: one scratch reused across
+// growing and shrinking sizes returns bit for bit what the package
+// function and the sort.SliceStable oracle return — values, vectors and
+// their order, ties included (diagonal matrices with repeated entries keep
+// tied eigenvalues exactly equal through tred2/tql2).
+func TestEigenScratchMatchesSymmetricEigen(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var s EigenScratch
+	sizes := []int{1, 5, 12, 3, 20, 2, 12, 7, 1, 15, 4, 9}
+	for trial := 0; trial < 4*len(sizes); trial++ {
+		n := sizes[trial%len(sizes)]
+		var m [][]float64
+		switch trial % 4 {
+		case 0, 1:
+			m, _ = randomSymmetric(rng, n)
+		case 2: // diagonal with ties
+			m = make([][]float64, n)
+			for i := range m {
+				m[i] = make([]float64, n)
+				m[i][i] = float64(rng.Intn(3))
+			}
+		case 3: // small integers, often degenerate
+			m = make([][]float64, n)
+			for i := range m {
+				m[i] = make([]float64, n)
+			}
+			for i := 0; i < n; i++ {
+				for j := i; j < n; j++ {
+					v := float64(rng.Intn(3) - 1)
+					m[i][j], m[j][i] = v, v
+				}
+			}
+		}
+		wantVals, wantVecs, err := symmetricEigenSliceStable(m)
+		if err != nil {
+			t.Fatalf("trial %d: oracle: %v", trial, err)
+		}
+		pkgVals, pkgVecs, err := SymmetricEigen(m)
+		if err != nil {
+			t.Fatalf("trial %d: SymmetricEigen: %v", trial, err)
+		}
+		vals, vecs, err := s.SymmetricEigen(m)
+		if err != nil {
+			t.Fatalf("trial %d: scratch: %v", trial, err)
+		}
+		for _, got := range []struct {
+			name string
+			vals []float64
+			vecs [][]float64
+		}{{"SymmetricEigen", pkgVals, pkgVecs}, {"scratch", vals, vecs}} {
+			if len(got.vals) != n || len(got.vecs) != n {
+				t.Fatalf("trial %d (n=%d): %s returned %d values, %d vectors", trial, n, got.name, len(got.vals), len(got.vecs))
+			}
+			for k := 0; k < n; k++ {
+				if math.Float64bits(got.vals[k]) != math.Float64bits(wantVals[k]) {
+					t.Fatalf("trial %d (n=%d): %s value %d = %v, oracle %v", trial, n, got.name, k, got.vals[k], wantVals[k])
+				}
+				if len(got.vecs[k]) != n {
+					t.Fatalf("trial %d (n=%d): %s vector %d has length %d", trial, n, got.name, k, len(got.vecs[k]))
+				}
+				for i := 0; i < n; i++ {
+					if math.Float64bits(got.vecs[k][i]) != math.Float64bits(wantVecs[k][i]) {
+						t.Fatalf("trial %d (n=%d): %s vector %d component %d = %v, oracle %v", trial, n, got.name, k, i, got.vecs[k][i], wantVecs[k][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestEigenScratchReusedAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	big, _ := randomSymmetric(rng, 12)
+	small, _ := randomSymmetric(rng, 5)
+	var s EigenScratch
+	if _, _, err := s.SymmetricEigen(big); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, m := range [][][]float64{small, big} {
+			if _, _, err := s.SymmetricEigen(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm EigenScratch allocates %v objects per call pair, want 0", allocs)
 	}
 }

@@ -70,31 +70,60 @@ type DistFunc func(a, b int) (float64, bool)
 
 // Localize embeds n points into Options.Dims-dimensional coordinates from
 // partial pairwise distance measurements. The result coordinates are in an
-// arbitrary rigid frame.
+// arbitrary rigid frame. Localize is Scratch.Localize on a fresh scratch
+// with no destination.
 func Localize(n int, dist DistFunc, opts Options) ([]geom.Vec3, error) {
+	var s Scratch
+	return s.Localize(nil, n, dist, opts)
+}
+
+// Scratch is Localize's working storage: the distance and observation
+// matrices, the double-centered Gram matrix, SMACOF's measured pairs,
+// Laplacian factor and pseudo-inverse, the update and restart buffers, and
+// an eigensolver workspace. It is reusable across calls of any size, so a
+// caller that localizes one neighborhood per node allocates only when a
+// neighborhood outgrows every earlier one. The zero value is ready to use.
+// A Scratch must not be shared between goroutines.
+type Scratch struct {
+	d, b, chol, lap, pinv matrix[float64]
+	observed              matrix[bool]
+	rowMean, deg, col     []float64
+	pairs                 []obsPair
+	y, trial              []geom.Vec3
+	eig                   geom.EigenScratch
+}
+
+// Localize is the package-level Localize computed in s's storage, bit for
+// bit. It writes the n coordinates into dst when cap(dst) >= n and into a
+// new slice otherwise, and returns them; they never alias s.
+func (s *Scratch) Localize(dst []geom.Vec3, n int, dist DistFunc, opts Options) ([]geom.Vec3, error) {
 	opts = opts.withDefaults()
 	if opts.Dims < 1 || opts.Dims > 3 || opts.SmacofIterations < 0 || opts.Restarts < 0 {
 		return nil, ErrBadOptions
 	}
+	if cap(dst) < n {
+		dst = make([]geom.Vec3, n)
+	}
+	coords := dst[:n]
 	switch n {
 	case 0:
-		return nil, nil
+		return coords, nil
 	case 1:
-		return []geom.Vec3{geom.Zero}, nil
+		coords[0] = geom.Zero
+		return coords, nil
 	}
 
-	d, observed := buildMatrix(n, dist)
+	d, observed := s.buildMatrix(n, dist)
 	if err := completeShortestPaths(d); err != nil {
 		return nil, err
 	}
-	coords, err := classical(d, opts.Dims)
-	if err != nil {
+	if err := s.classical(coords, d, opts.Dims); err != nil {
 		return nil, fmt.Errorf("classical MDS: %w", err)
 	}
 	if opts.SmacofIterations == 0 {
 		return coords, nil
 	}
-	smacof(coords, d, observed, opts)
+	s.smacof(coords, d, observed, opts)
 	if opts.Restarts == 0 {
 		return coords, nil
 	}
@@ -103,9 +132,8 @@ func Localize(n int, dist DistFunc, opts Options) ([]geom.Vec3, error) {
 	// re-majorize, keeping whichever run fits the measured distances
 	// best. The perturbation magnitude is a fraction of the
 	// configuration's spread, enough to hop out of a reflection-trapped
-	// local minimum.
-	best := coords
-	bestStress := stressAgainst(best, d, observed)
+	// local minimum. coords always holds the best configuration.
+	bestStress := stressAgainst(coords, d, observed)
 	rng := rand.New(rand.NewSource(opts.RestartSeed + int64(n)*1_000_003))
 	spread := 0.0
 	for _, c := range coords {
@@ -114,17 +142,19 @@ func Localize(n int, dist DistFunc, opts Options) ([]geom.Vec3, error) {
 	if spread == 0 {
 		spread = 1
 	}
+	s.trial = grow(s.trial, n)
+	trial := s.trial
 	for r := 0; r < opts.Restarts; r++ {
-		trial := make([]geom.Vec3, n)
 		for i := range trial {
-			trial[i] = best[i].Add(geom.RandomUnitVector(rng).Scale(0.4 * spread * rng.Float64()))
+			trial[i] = coords[i].Add(geom.RandomUnitVector(rng).Scale(0.4 * spread * rng.Float64()))
 		}
-		smacof(trial, d, observed, opts)
-		if s := stressAgainst(trial, d, observed); s < bestStress {
-			best, bestStress = trial, s
+		s.smacof(trial, d, observed, opts)
+		if st := stressAgainst(trial, d, observed); st < bestStress {
+			copy(coords, trial)
+			bestStress = st
 		}
 	}
-	return best, nil
+	return coords, nil
 }
 
 // stressAgainst is raw (unnormalized) stress over the observed pairs.
@@ -142,34 +172,39 @@ func stressAgainst(coords []geom.Vec3, d [][]float64, observed [][]bool) float64
 	return sum
 }
 
-// matrix carves an n×n float matrix's rows out of one flat backing array —
-// two allocations instead of n+1. Localization runs once per node with
-// several matrices per run, so row-slice churn dominated the allocation
-// profile of whole-network sweeps.
-func matrix(n int) [][]float64 {
-	backing := make([]float64, n*n)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = backing[i*n : (i+1)*n]
-	}
-	return rows
+// matrix is a reusable n×n matrix whose rows are carved out of one flat
+// backing array.
+type matrix[T any] struct {
+	backing []T
+	rows    [][]T
 }
 
-// boolMatrix is matrix for masks.
-func boolMatrix(n int) [][]bool {
-	backing := make([]bool, n*n)
-	rows := make([][]bool, n)
-	for i := range rows {
-		rows[i] = backing[i*n : (i+1)*n]
+// zeroed returns m resized to n×n with every entry zero, reallocating only
+// when m is too small.
+func (m *matrix[T]) zeroed(n int) [][]T {
+	m.backing = grow(m.backing, n*n)
+	clear(m.backing)
+	m.rows = grow(m.rows, n)
+	for i := range m.rows {
+		m.rows[i] = m.backing[i*n : (i+1)*n]
 	}
-	return rows
+	return m.rows
+}
+
+// grow returns buf resliced to length n, reallocating only when its
+// capacity is short. The contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // buildMatrix assembles the symmetric distance matrix with +Inf for
 // unmeasured pairs, alongside an observation mask.
-func buildMatrix(n int, dist DistFunc) ([][]float64, [][]bool) {
-	d := matrix(n)
-	observed := boolMatrix(n)
+func (s *Scratch) buildMatrix(n int, dist DistFunc) ([][]float64, [][]bool) {
+	d := s.d.zeroed(n)
+	observed := s.observed.zeroed(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
@@ -189,19 +224,22 @@ func buildMatrix(n int, dist DistFunc) ([][]float64, [][]bool) {
 }
 
 // completeShortestPaths runs Floyd–Warshall in place, replacing +Inf
-// entries with shortest measured-path sums. Neighborhood matrices are tiny
-// (≈ degree+1 rows), so the cubic cost is negligible.
+// entries with shortest measured-path sums. Neighborhood matrices are
+// small (≈ degree+1 rows), but the cubic pass still costs about 7 % of the
+// Fig. 1 pipeline.
 func completeShortestPaths(d [][]float64) error {
 	n := len(d)
 	for k := 0; k < n; k++ {
+		dk := d[k]
 		for i := 0; i < n; i++ {
-			dik := d[i][k]
+			di := d[i]
+			dik := di[k]
 			if math.IsInf(dik, 1) {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				if via := dik + d[k][j]; via < d[i][j] {
-					d[i][j], d[j][i] = via, via
+			for j, dkj := range dk {
+				if via := dik + dkj; via < di[j] {
+					di[j], d[j][i] = via, via
 				}
 			}
 		}
@@ -216,15 +254,18 @@ func completeShortestPaths(d [][]float64) error {
 	return nil
 }
 
-// classical performs classical (Torgerson) MDS: eigendecompose the
-// double-centered squared-distance matrix and scale the top eigenvectors.
-func classical(d [][]float64, dims int) ([]geom.Vec3, error) {
+// classical performs classical (Torgerson) MDS into coords: eigendecompose
+// the double-centered squared-distance matrix and scale the top
+// eigenvectors.
+func (s *Scratch) classical(coords []geom.Vec3, d [][]float64, dims int) error {
 	n := len(d)
 	// B = -1/2 · J·D²·J with J = I - 11ᵀ/n, computed via row/column/grand
 	// means of the squared distances. b holds D² first, then is centered
 	// in place.
-	b := matrix(n)
-	rowMean := make([]float64, n)
+	b := s.b.zeroed(n)
+	s.rowMean = grow(s.rowMean, n)
+	rowMean := s.rowMean
+	clear(rowMean)
 	var grand float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -240,11 +281,11 @@ func classical(d [][]float64, dims int) ([]geom.Vec3, error) {
 			b[i][j] = -0.5 * (b[i][j] - rowMean[i] - rowMean[j] + grand)
 		}
 	}
-	vals, vecs, err := geom.SymmetricEigen(b)
+	vals, vecs, err := s.eig.SymmetricEigen(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	coords := make([]geom.Vec3, n)
+	clear(coords)
 	for axis := 0; axis < dims && axis < n; axis++ {
 		if vals[axis] <= 0 {
 			break // remaining axes carry no positive variance
@@ -262,7 +303,7 @@ func classical(d [][]float64, dims int) ([]geom.Vec3, error) {
 			}
 		}
 	}
-	return coords, nil
+	return nil
 }
 
 // smacof refines coordinates in place with the Guttman transform
@@ -271,14 +312,16 @@ func classical(d [][]float64, dims int) ([]geom.Vec3, error) {
 // trustworthy than the shortest-path-completed entries. V is the weight
 // Laplacian; its pseudo-inverse is computed once per call. Stress decreases
 // monotonically under this update.
-func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) {
+func (s *Scratch) smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) {
 	n := len(coords)
 	// Collect the measured pairs once: B(X)'s off-diagonal support is
 	// exactly these pairs, so each majorization sweep costs
 	// O(pairs + n²) instead of three dense n² passes over mostly-zero
 	// entries.
-	var pairs []obsPair
-	deg := make([]float64, n)
+	pairs := s.pairs[:0]
+	s.deg = grow(s.deg, n)
+	deg := s.deg
+	clear(deg)
 	for a := 0; a < n; a++ {
 		for c := a + 1; c < n; c++ {
 			if observed[a][c] {
@@ -288,15 +331,16 @@ func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) 
 			}
 		}
 	}
+	s.pairs = pairs
 	if len(pairs) == 0 {
 		return
 	}
-	vPinv, ok := laplacianPinv(deg, pairs, n)
+	vPinv, ok := s.laplacianPinv(deg, pairs, n)
 	if !ok {
 		// Disconnected observation graph: the Cholesky shortcut does not
 		// apply; fall back to the eigendecomposition pseudo-inverse of
 		// the explicit Laplacian.
-		v := matrix(n)
+		v := s.lap.zeroed(n)
 		for _, p := range pairs {
 			v[p.a][p.c], v[p.c][p.a] = -1, -1
 		}
@@ -304,13 +348,14 @@ func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) 
 			v[a][a] = deg[a]
 		}
 		var err error
-		vPinv, err = pseudoInverse(v)
+		vPinv, err = s.pseudoInverse(v)
 		if err != nil {
 			return // leave the classical-MDS solution in place
 		}
 	}
 
-	y := make([]geom.Vec3, n)
+	s.y = grow(s.y, n)
+	y := s.y
 	for iter := 0; iter < opts.SmacofIterations; iter++ {
 		// Y = B(X)·X: pair (a,c) contributes s·(x_a − x_c) to row a and
 		// its negation to row c, with s = d_ac / max(ρ_ac, MinRho) — the
@@ -319,22 +364,24 @@ func smacof(coords []geom.Vec3, d [][]float64, observed [][]bool, opts Options) 
 			y[a] = geom.Vec3{}
 		}
 		for _, p := range pairs {
-			rho := coords[p.a].Dist(coords[p.c])
+			diff := coords[p.a].Sub(coords[p.c])
+			rho := diff.Norm()
 			if rho < opts.MinRho {
 				rho = opts.MinRho
 			}
-			t := coords[p.a].Sub(coords[p.c]).Scale(p.d / rho)
+			t := diff.Scale(p.d / rho)
 			y[p.a] = y[p.a].Add(t)
 			y[p.c] = y[p.c].Sub(t)
 		}
-		// X⁺ = V⁺·Y.
+		// X⁺ = V⁺·Y, accumulated per component in c order.
 		for a := 0; a < n; a++ {
-			var acc geom.Vec3
-			row := vPinv[a]
-			for c := 0; c < n; c++ {
-				acc = acc.Add(y[c].Scale(row[c]))
+			var ax, ay, az float64
+			for c, w := range vPinv[a][:n] {
+				ax += y[c].X * w
+				ay += y[c].Y * w
+				az += y[c].Z * w
 			}
-			coords[a] = acc
+			coords[a] = geom.Vec3{X: ax, Y: ay, Z: az}
 		}
 	}
 }
@@ -356,8 +403,8 @@ type obsPair struct {
 // fraction of the eigendecomposition's operations. ok=false reports a
 // failed pivot — a disconnected observation graph — and the caller falls
 // back to the eigen route.
-func laplacianPinv(deg []float64, pairs []obsPair, n int) ([][]float64, bool) {
-	a := matrix(n)
+func (s *Scratch) laplacianPinv(deg []float64, pairs []obsPair, n int) ([][]float64, bool) {
+	a := s.chol.zeroed(n)
 	shift := 1 / float64(n)
 	for i := 0; i < n; i++ {
 		row := a[i]
@@ -372,44 +419,48 @@ func laplacianPinv(deg []float64, pairs []obsPair, n int) ([][]float64, bool) {
 	}
 	// Cholesky A = L·Lᵀ, L accumulating in the lower triangle.
 	for j := 0; j < n; j++ {
-		sum := a[j][j]
-		for k := 0; k < j; k++ {
-			sum -= a[j][k] * a[j][k]
+		aj := a[j]
+		sum := aj[j]
+		for _, ajk := range aj[:j] {
+			sum -= ajk * ajk
 		}
 		if sum <= 1e-9 {
 			return nil, false
 		}
 		ljj := math.Sqrt(sum)
-		a[j][j] = ljj
+		aj[j] = ljj
 		for i := j + 1; i < n; i++ {
-			s := a[i][j]
-			for k := 0; k < j; k++ {
-				s -= a[i][k] * a[j][k]
+			ai := a[i]
+			v := ai[j]
+			for k, ajk := range aj[:j] {
+				v -= ai[k] * ajk
 			}
-			a[i][j] = s / ljj
+			ai[j] = v / ljj
 		}
 	}
 	// A⁻¹ column by column: forward-substitute L·w = eₑ, then
 	// back-substitute Lᵀ·x = w.
-	out := matrix(n)
-	col := make([]float64, n)
+	out := s.pinv.zeroed(n)
+	s.col = grow(s.col, n)
+	col := s.col
 	for e := 0; e < n; e++ {
 		for i := 0; i < n; i++ {
-			s := 0.0
+			ai := a[i]
+			v := 0.0
 			if i == e {
-				s = 1
+				v = 1
 			}
-			for k := 0; k < i; k++ {
-				s -= a[i][k] * col[k]
+			for k, aik := range ai[:i] {
+				v -= aik * col[k]
 			}
-			col[i] = s / a[i][i]
+			col[i] = v / ai[i]
 		}
 		for i := n - 1; i >= 0; i-- {
-			s := col[i]
+			v := col[i]
 			for k := i + 1; k < n; k++ {
-				s -= a[k][i] * col[k]
+				v -= a[k][i] * col[k]
 			}
-			col[i] = s / a[i][i]
+			col[i] = v / a[i][i]
 		}
 		for i := 0; i < n; i++ {
 			out[i][e] = col[i]
@@ -421,9 +472,9 @@ func laplacianPinv(deg []float64, pairs []obsPair, n int) ([][]float64, bool) {
 // pseudoInverse computes the Moore–Penrose pseudo-inverse of a symmetric
 // matrix via its eigendecomposition, zeroing near-null directions (the
 // weight Laplacian is singular along translations).
-func pseudoInverse(m [][]float64) ([][]float64, error) {
+func (s *Scratch) pseudoInverse(m [][]float64) ([][]float64, error) {
 	n := len(m)
-	vals, vecs, err := geom.SymmetricEigen(m)
+	vals, vecs, err := s.eig.SymmetricEigen(m)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +485,7 @@ func pseudoInverse(m [][]float64) ([][]float64, error) {
 		}
 	}
 	cutoff := 1e-10 * (maxAbs + 1)
-	inv := matrix(n)
+	inv := s.pinv.zeroed(n)
 	for k, v := range vals {
 		if math.Abs(v) <= cutoff {
 			continue

@@ -241,3 +241,71 @@ func TestLocalizeCoincidentPoints(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchLocalizeMatchesLocalize: one Scratch reused across growing and
+// shrinking neighborhoods and across option sets returns bit for bit what
+// a fresh Localize returns, writing into dst when it has room.
+func TestScratchLocalizeMatchesLocalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	optSets := []Options{
+		{SmacofIterations: 40},
+		{},
+		{SmacofIterations: 30, Restarts: 2, RestartSeed: 9},
+		{Dims: 2, SmacofIterations: 20},
+	}
+	var s Scratch
+	for trial, n := range []int{6, 25, 3, 14, 2, 30, 9, 1, 18, 12, 25, 7} {
+		pts := []geom.Vec3{geom.Zero}
+		for len(pts) < n {
+			pts = append(pts, geom.RandomInBall(rng, geom.Sphere{Radius: 1}))
+		}
+		dist := rangeDist(pts, 1)
+		opts := optSets[trial%len(optSets)]
+		want, err := Localize(n, dist, opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		dst := make([]geom.Vec3, n, n+trial%2)
+		got, err := s.Localize(dst, n, dist, opts)
+		if err != nil {
+			t.Fatalf("trial %d: scratch: %v", trial, err)
+		}
+		if len(got) != n || (n > 0 && &got[0] != &dst[0]) {
+			t.Fatalf("trial %d: scratch returned %d coords, not written into dst", trial, len(got))
+		}
+		for i := range want {
+			for _, c := range [][2]float64{{got[i].X, want[i].X}, {got[i].Y, want[i].Y}, {got[i].Z, want[i].Z}} {
+				if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+					t.Fatalf("trial %d (n=%d, %+v): coord %d = %v, fresh Localize %v", trial, n, opts, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	short, err := s.Localize(make([]geom.Vec3, 0, 2), 4, fullDist([]geom.Vec3{geom.Zero, geom.V(1, 0, 0), geom.V(0, 1, 0), geom.V(0, 0, 1)}), Options{})
+	if err != nil || len(short) != 4 {
+		t.Fatalf("short dst: %d coords, %v", len(short), err)
+	}
+}
+
+func TestScratchLocalizeAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	pts := []geom.Vec3{geom.Zero}
+	for len(pts) < 20 {
+		pts = append(pts, geom.RandomInBall(rng, geom.Sphere{Radius: 1}))
+	}
+	dist := rangeDist(pts, 1)
+	opts := Options{SmacofIterations: 40}
+	var s Scratch
+	dst := make([]geom.Vec3, len(pts))
+	if _, err := s.Localize(dst, len(pts), dist, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Localize(dst, len(pts), dist, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm Scratch allocates %v objects per Localize, want 0", allocs)
+	}
+}
